@@ -92,7 +92,9 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
 
 def read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
     """Open a capture for streaming: header plus a one-frame-at-a-time
-    generator. Truncated payloads raise with the offending frame index."""
+    generator. Truncated payloads and non-finite samples raise with the
+    offending frame index; bytes past the header's last frame raise once
+    the generator is exhausted."""
     fh = open(path, "rb")
     try:
         header = read_header(fh)
@@ -109,7 +111,17 @@ def read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
                     raise CaptureFormatError(
                         f"truncated at frame {index}: expected {frame_bytes} "
                         f"bytes, got {len(raw)}")
-                yield np.frombuffer(raw, dtype="<c8").copy()
+                row = np.frombuffer(raw, dtype="<c8").copy()
+                if not np.isfinite(row).all():
+                    bad = int(np.argmin(np.isfinite(row)))
+                    raise CaptureFormatError(
+                        f"non-finite sample at frame {index}, "
+                        f"subcarrier {bad}")
+                yield row
+            if fh.read(1):
+                raise CaptureFormatError(
+                    f"payload continues past the {header.n_frames} frames "
+                    f"the header declares")
         finally:
             fh.close()
 
@@ -205,6 +217,16 @@ def write_map_pgm(path, rdm: RangeDopplerMap) -> None:
     mag = rdm.magnitude()
     floor = np.max(mag) * 1e-9 if np.max(mag) > 0 else 1.0
     db = 20.0 * np.log10(np.maximum(mag, floor))
+    with open(path, "wb") as fh:
+        fh.write(_to_pgm(db))
+
+
+def write_profile_pgm(path, profile: DopplerTimeProfile) -> None:
+    """Doppler-time energy as 8-bit binary PGM in dB, one column per window,
+    normalized over the whole profile."""
+    energy = profile.values
+    floor = np.max(energy) * 1e-12 if np.max(energy) > 0 else 1.0
+    db = 10.0 * np.log10(np.maximum(energy, floor))
     with open(path, "wb") as fh:
         fh.write(_to_pgm(db))
 

@@ -146,29 +146,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sync_params(args, n_subcarriers: int) -> SyncParams:
-    return SyncParams(
-        upsample_factor=args.upsample, phase_step_rad=args.delta,
-        history_len=args.history,
-        max_lag=args.max_lag if args.max_lag is not None
-        else max(1, n_subcarriers // 4))
-
-
 def cmd_process(args) -> int:
     if args.no_sync and args.emit_sync_report:
         raise ValueError("--emit-sync-report requires synchronization "
                          "(drop --no-sync)")
-    header, capture64 = capture_io.read_capture_array(args.capture)
-    capture = capture64.astype(complex)
-    if capture.shape[0] < args.window:
-        raise ValueError(f"capture of {capture.shape[0]} frames is shorter "
-                         f"than window {args.window}")
+    header, capture = capture_io.read_capture_array(args.capture)
+    rdmap.window_starts(capture.shape[0], args.window, args.stride)
     cfg = make_config(
         n_subcarriers=header.n_subcarriers, n_frames=args.window,
         subcarrier_spacing_hz=header.subcarrier_spacing_hz,
         frame_interval_s=header.frame_interval_s,
         carrier_freq_hz=header.carrier_freq_hz)
-    params = _sync_params(args, header.n_subcarriers)
+    params = SyncParams(
+        upsample_factor=args.upsample, phase_step_rad=args.delta,
+        history_len=args.history, max_lag=args.max_lag)
 
     if not args.no_sync:
         capture, report = synchronize(capture, params)
@@ -201,22 +192,10 @@ def cmd_process(args) -> int:
             capture, cfg, args.window, args.stride, apply_sync=False,
             apply_sic=not args.no_sic, window_fn=args.fft_window)
         if args.emit_spectrogram.endswith(".pgm"):
-            _write_profile_pgm(args.emit_spectrogram, profile)
+            capture_io.write_profile_pgm(args.emit_spectrogram, profile)
         else:
             capture_io.write_profile_csv(args.emit_spectrogram, profile)
     return EXIT_OK
-
-
-def _write_profile_pgm(path, profile) -> None:
-    energy = profile.values
-    floor = np.max(energy) * 1e-12 if np.max(energy) > 0 else 1.0
-    db = 10.0 * np.log10(np.maximum(energy, floor))
-    lo, hi = float(np.min(db)), float(np.max(db))
-    span = hi - lo if hi > lo else 1.0
-    pixels = np.round((db - lo) / span * 255.0).astype(np.uint8)
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header + pixels.tobytes())
 
 
 def cmd_eval(args) -> int:

@@ -66,8 +66,6 @@ class Detection:
     power_db: float
     bin_l: int
     bin_p: int
-    offset_l: float = 0.0
-    offset_p: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,7 +85,6 @@ class DopplerTimeProfile:
     values: np.ndarray              # (doppler bins, windows)
     velocity_scale_mps: float
     window_times_s: np.ndarray
-    stride_frames: int
 
     def doppler_bins(self) -> np.ndarray:
         return np.arange(self.values.shape[0]) - self.values.shape[0] // 2
@@ -102,37 +99,30 @@ def _axis_window(kind: str, length: int) -> np.ndarray:
 
 
 def range_doppler(grid: np.ndarray, cfg: WaveformConfig,
-                  window_fn: str = "rect", zero_pad: int = 1,
+                  window_fn: str = "rect",
                   timestamp_s: float = 0.0) -> RangeDopplerMap:
     """2D transform of a synchronized, DC-removed CSI window.
 
     The range axis is an (unnormalized) inverse DFT over subcarriers, so a
     return at delay tau peaks at bin tau*B; the Doppler axis is a forward
     DFT over frames, peaking at bin fD*M*T, then center-shifted. Optional
-    per-axis windows are applied before the transforms; ``zero_pad``
-    interpolates both axes by that integer factor.
+    per-axis windows are applied before the transforms.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ValueError("need a 2-D grid of at least 2x2")
     m_frames, n_sub = grid.shape
-    if zero_pad < 1:
-        raise ValueError("zero_pad must be >= 1")
     tapered = grid * np.outer(_axis_window(window_fn, m_frames),
                               _axis_window(window_fn, n_sub))
-    # Spectra occupy bins 0..N-1 / 0..M-1, so padding goes at the top. The
-    # range transform is the unnormalized sum, so an on-bin unit exponential
-    # peaks at magnitude M*N under a rectangular window.
-    range_profiles = (np.fft.ifft(tapered, n=n_sub * zero_pad, axis=1)
-                      * n_sub * zero_pad)
-    spectrum = np.fft.fftshift(
-        np.fft.fft(range_profiles, n=m_frames * zero_pad, axis=0), axes=0)
+    # The range transform is the unnormalized sum, so an on-bin unit
+    # exponential peaks at magnitude M*N under a rectangular window.
+    range_profiles = np.fft.ifft(tapered, axis=1) * n_sub
+    spectrum = np.fft.fftshift(np.fft.fft(range_profiles, axis=0), axes=0)
     return RangeDopplerMap(
         values=spectrum,
-        range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz * zero_pad),
+        range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz),
         velocity_scale_mps=cfg.wave_speed_mps / (
-            2.0 * cfg.carrier_freq_hz * m_frames * cfg.frame_interval_s
-            * zero_pad),
+            2.0 * cfg.carrier_freq_hz * m_frames * cfg.frame_interval_s),
         timestamp_s=timestamp_s)
 
 
@@ -219,10 +209,7 @@ def detect(rdm: RangeDopplerMap, threshold_db: float = 12.0,
         picks.append(Detection(
             time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
             power_db=power_db - floor_db, bin_l=col,
-            bin_p=row - rdm.n_doppler // 2,
-            offset_l=range_m / rdm.range_scale_m - col,
-            offset_p=velocity / rdm.velocity_scale_mps
-            - (row - rdm.n_doppler // 2)))
+            bin_p=row - rdm.n_doppler // 2))
         rows = [(row + dr) % rdm.n_doppler for dr in (-1, 0, 1)]
         cols = [(col + dc) % rdm.n_range for dc in (-1, 0, 1)]
         available[np.ix_(rows, cols)] = False
@@ -230,6 +217,8 @@ def detect(rdm: RangeDopplerMap, threshold_db: float = 12.0,
 
 
 def window_starts(n_frames: int, window: int, stride: int) -> range:
+    """First frame of each sliding window; raises on a bad window, stride,
+    or a capture shorter than one window."""
     if window < 2:
         raise ValueError("window must be >= 2 frames")
     if stride < 1:
@@ -240,23 +229,6 @@ def window_starts(n_frames: int, window: int, stride: int) -> range:
     return range(0, n_frames - window + 1, stride)
 
 
-def _prepare_capture(capture: np.ndarray, cfg: WaveformConfig, window: int,
-                     apply_sync: bool, sync_params: Optional[SyncParams]
-                     ) -> Tuple[np.ndarray, WaveformConfig]:
-    capture = np.asarray(capture, dtype=complex)
-    if capture.ndim != 2:
-        raise ValueError("capture must be a 2-D frame-by-subcarrier array")
-    if capture.shape[0] < window:
-        raise ValueError(
-            f"capture of {capture.shape[0]} frames is shorter than "
-            f"window {window}")
-    cfg_win = (cfg if cfg.n_frames == window
-               else dc_replace(cfg, n_frames=window))
-    if apply_sync:
-        capture, _ = synchronize(capture, sync_params)
-    return capture, cfg_win
-
-
 def window_maps(capture: np.ndarray, cfg: WaveformConfig,
                 window: Optional[int] = None, stride: int = 1, *,
                 apply_sync: bool = True, apply_sic: bool = True,
@@ -264,10 +236,16 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
                 window_fn: str = "hann"):
     """Yield one range-Doppler map per sliding window, center-timestamped."""
     window = window if window is not None else cfg.n_frames
-    capture, cfg_win = _prepare_capture(
-        capture, cfg, window, apply_sync, sync_params)
+    capture = np.asarray(capture, dtype=complex)
+    if capture.ndim != 2:
+        raise ValueError("capture must be a 2-D frame-by-subcarrier array")
+    starts = window_starts(capture.shape[0], window, stride)
+    cfg_win = (cfg if cfg.n_frames == window
+               else dc_replace(cfg, n_frames=window))
+    if apply_sync:
+        capture, _ = synchronize(capture, sync_params)
     half = (window - 1) / 2.0
-    for start in window_starts(capture.shape[0], window, stride):
+    for start in starts:
         block = capture[start:start + window]
         if apply_sic:
             block = sic.remove_dc(block)
@@ -304,7 +282,6 @@ def doppler_time_profile(capture: np.ndarray, cfg: WaveformConfig,
                          sync_params: Optional[SyncParams] = None,
                          window_fn: str = "hann") -> DopplerTimeProfile:
     """Doppler spectrogram: per window, map energy summed over range bins."""
-    window = window if window is not None else cfg.n_frames
     columns = []
     times = []
     for rdm in window_maps(capture, cfg, window, stride,
@@ -312,8 +289,8 @@ def doppler_time_profile(capture: np.ndarray, cfg: WaveformConfig,
                            sync_params=sync_params, window_fn=window_fn):
         columns.append(np.sum(rdm.magnitude() ** 2, axis=1))
         times.append(rdm.timestamp_s)
+    # window_starts yields at least one window, so the last map is bound.
     return DopplerTimeProfile(
-        values=np.array(columns).T if columns else np.zeros((window, 0)),
-        velocity_scale_mps=cfg.wave_speed_mps / (
-            2.0 * cfg.carrier_freq_hz * window * cfg.frame_interval_s),
-        window_times_s=np.array(times), stride_frames=stride)
+        values=np.array(columns).T,
+        velocity_scale_mps=rdm.velocity_scale_mps,
+        window_times_s=np.array(times))

@@ -210,17 +210,13 @@ def align_phases(grid: np.ndarray,
     return out, report
 
 
-def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None,
-                reference_time: Optional[np.ndarray] = None,
-                average_frames: bool = False
+def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None
                 ) -> Tuple[np.ndarray, SyncReport]:
     """Full sync pass over a capture: delay estimate from the dominant
     (zero-delay coupling) return, compensation, then phase alignment.
 
-    ``reference_time`` defaults to the ideal-channel reference, which is
-    correct for CSI grids; pass the known transmit sequence's sample form
-    to sync raw received symbol grids instead. Correlation uses frame 0
-    unless ``average_frames`` sums magnitudes over all frames.
+    The delay is found by correlating frame 0's sample sequence against the
+    ideal-channel reference, which is correct for CSI grids.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid, dtype=complex)
@@ -228,12 +224,10 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None,
         raise ValueError("need a non-empty 2-D frame-by-subcarrier grid")
     n = grid.shape[-1]
     max_lag = p.max_lag if p.max_lag is not None else max(1, n // 4)
-    reference = (reference_time if reference_time is not None
-                 else reference_time_sequence(n))
-    received = time_domain(grid)
-    rows = received if average_frames else received[0]
-    coarse = coarse_delay(reference, rows, max_lag)
-    fine = fine_delay(reference, rows, coarse, p.upsample_factor)
+    reference = reference_time_sequence(n)
+    received = time_domain(grid[0])
+    coarse = coarse_delay(reference, received, max_lag)
+    fine = fine_delay(reference, received, coarse, p.upsample_factor)
     compensated = compensate_delay(grid, coarse + fine)
     aligned, report = align_phases(compensated, p)
     report.coarse_lag_samples = int(coarse)

@@ -208,8 +208,7 @@ def test_map_pgm_format(tmp_path):
 def test_profile_csv_layout(tmp_path):
     profile = DopplerTimeProfile(values=np.arange(12.0).reshape(4, 3),
                                  velocity_scale_mps=0.05,
-                                 window_times_s=np.array([0.1, 0.2, 0.3]),
-                                 stride_frames=2)
+                                 window_times_s=np.array([0.1, 0.2, 0.3]))
     path = tmp_path / "prof.csv"
     write_profile_csv(path, profile)
     lines = path.read_text().strip().splitlines()

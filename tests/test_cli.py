@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_process_emits_reports(workdir, tmp_path):
     assert len(lines) == 1 + 16
 
 
+def test_process_spectrogram_pgm(workdir, tmp_path):
+    pgm = tmp_path / "prof.pgm"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--stride", "8", "--out", str(tmp_path / "d.jsonl"),
+                 "--emit-spectrogram", str(pgm)]) == 0
+    header = b"P5\n5 16\n255\n"  # 5 windows wide, 16 Doppler bins high
+    raw = pgm.read_bytes()
+    assert raw.startswith(header)
+    pixels = raw[len(header):]
+    assert len(pixels) == 5 * 16
+    assert min(pixels) == 0 and max(pixels) == 255
+
+
 def test_process_no_sic_dominated_by_coupling_cell(workdir, tmp_path):
     out = tmp_path / "nosic.jsonl"
     assert main(["process", str(workdir / "cap.bin"), "--window", "16",
@@ -166,6 +180,13 @@ def test_process_rejects_sync_report_without_sync(workdir, tmp_path):
                  "--emit-sync-report", str(tmp_path / "s.json")]) == 3
 
 
+def test_process_bad_stride_writes_nothing(workdir, tmp_path):
+    report = tmp_path / "sync.json"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--stride", "0", "--emit-sync-report", str(report)]) == 3
+    assert not report.exists()
+
+
 def test_process_bad_capture_exits_2(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XXXX" + b"\x00" * 100)
@@ -178,6 +199,38 @@ def test_process_truncated_capture_exits_2(workdir, tmp_path):
     cut = tmp_path / "cut.bin"
     cut.write_bytes(raw[: 38 + 10 * 64 * 8 + 17])
     assert main(["process", str(cut), "--window", "8"]) == 2
+
+
+def test_process_non_finite_sample_exits_2(tmp_path, capsys):
+    cap = tmp_path / "test1.bin"
+    assert main(["simulate", "--scenario", "test1", "--seed", "3",
+                 "--out", str(cap)]) == 0
+    raw = bytearray(cap.read_bytes())
+    n_sub = struct.unpack_from("<I", raw, 6)[0]
+    offset = 38 + (40 * n_sub + 100) * 8
+    raw[offset:offset + 4] = struct.pack("<f", float("nan"))
+    cap.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["process", str(cap), "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert "frame 40, subcarrier 100" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_process_trailing_bytes_exits_2(workdir, tmp_path, capsys):
+    padded = tmp_path / "padded.bin"
+    padded.write_bytes((workdir / "cap.bin").read_bytes() + b"\0" * 8)
+    assert main(["process", str(padded), "--window", "16"]) == 2
+    assert "past the 48 frames" in capsys.readouterr().err
+
+
+def test_process_unpatched_frame_count_exits_2(workdir, tmp_path, capsys):
+    # An interrupted write leaves the header's frame count at 0.
+    raw = bytearray((workdir / "cap.bin").read_bytes())
+    raw[10:14] = struct.pack("<I", 0)
+    unpatched = tmp_path / "unpatched.bin"
+    unpatched.write_bytes(bytes(raw))
+    assert main(["process", str(unpatched), "--window", "16"]) == 2
+    assert "past the 0 frames" in capsys.readouterr().err
 
 
 def test_eval_pass_and_fail(workdir, tmp_path, capsys):

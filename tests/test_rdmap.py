@@ -274,13 +274,3 @@ def test_window_maps_timestamps_centered():
     assert len(maps) == 3
     assert maps[0].timestamp_s == pytest.approx(3.5 * cfg.frame_interval_s)
     assert maps[1].timestamp_s == pytest.approx(11.5 * cfg.frame_interval_s)
-
-
-def test_zero_pad_refines_axes():
-    cfg = cfg_of()
-    d = csi_for(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
-    rdm = range_doppler(d, cfg, window_fn="rect", zero_pad=2)
-    assert rdm.values.shape == (2 * cfg.n_frames, 2 * cfg.n_subcarriers)
-    assert rdm.argmax_bin() == (6, 10)
-    assert rdm.range_scale_m == pytest.approx(
-        range_resolution(cfg) / 2.0, rel=1e-12)

@@ -213,15 +213,6 @@ def test_end_to_end_sync_stabilizes_reference_bin():
     assert np.max(np.abs(diffs)) < delta / 2.0
 
 
-def test_synchronize_average_frames_agrees():
-    cfg = cfg_of(n=128, m=16)
-    d, _ = impaired_capture(cfg, offset=-5.25)
-    _, single = synchronize(d)
-    _, averaged = synchronize(d, average_frames=True)
-    assert single.effective_lag_samples == pytest.approx(
-        averaged.effective_lag_samples, abs=1.0 / 16.0)
-
-
 def test_sync_report_serializable():
     cfg = cfg_of(n=64, m=8)
     d, _ = impaired_capture(cfg, offset=1.5)
