@@ -83,8 +83,9 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
         raise CaptureFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise CaptureFormatError(f"unsupported format version {version}")
-    if n_sub == 0 or f_c <= 0 or spacing <= 0 or interval <= 0:
-        raise CaptureFormatError("non-positive header field")
+    if n_sub == 0 or not all(0 < x < np.inf
+                             for x in (f_c, spacing, interval)):
+        raise CaptureFormatError("non-positive or non-finite header field")
     return CaptureHeader(n_subcarriers=n_sub, n_frames=n_frames,
                          carrier_freq_hz=f_c, subcarrier_spacing_hz=spacing,
                          frame_interval_s=interval, version=version)
@@ -170,9 +171,12 @@ def read_ground_truth(path) -> Trajectory:
             if len(row) != 3:
                 raise CaptureFormatError(f"line {lineno}: expected 3 columns")
             try:
-                rows.append(tuple(float(x) for x in row))
+                values = tuple(float(x) for x in row)
             except ValueError as exc:
                 raise CaptureFormatError(f"line {lineno}: {exc}") from exc
+            if not np.isfinite(values).all():
+                raise CaptureFormatError(f"line {lineno}: non-finite value")
+            rows.append(values)
     if not rows:
         raise CaptureFormatError("truth file has no data rows")
     times = np.array([r[0] for r in rows])
@@ -192,16 +196,23 @@ def write_ground_truth(path, trajectory: Trajectory) -> None:
             writer.writerow([repr(float(t)), repr(float(r)), repr(float(v))])
 
 
-def write_map_csv(path, rdm: RangeDopplerMap) -> None:
-    """Magnitude map as CSV: range header row, velocity header column."""
-    mag = rdm.magnitude()
+def _write_grid_csv(path, corner: str, column_labels: Sequence[float],
+                    row_labels: Sequence[float], values: np.ndarray) -> None:
+    """Labelled grid as CSV, one row per row label. ``csv`` writes Python
+    floats with ``repr``, so every number parses back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["velocity_mps"] +
-                        [repr(l * rdm.range_scale_m) for l in range(rdm.n_range)])
-        for row, p in enumerate(rdm.doppler_bins()):
-            writer.writerow([repr(float(p) * rdm.velocity_scale_mps)] +
-                            [repr(float(x)) for x in mag[row]])
+        writer.writerow([corner, *column_labels])
+        for label, row in zip(row_labels, values.tolist()):
+            writer.writerow([label, *row])
+
+
+def write_map_csv(path, rdm: RangeDopplerMap) -> None:
+    """Magnitude map as CSV: range header row, velocity header column."""
+    _write_grid_csv(path, "velocity_mps",
+                    (np.arange(rdm.n_range) * rdm.range_scale_m).tolist(),
+                    (rdm.doppler_bins() * rdm.velocity_scale_mps).tolist(),
+                    rdm.magnitude())
 
 
 def _to_pgm(values_db: np.ndarray) -> bytes:
@@ -233,13 +244,10 @@ def write_profile_pgm(path, profile: DopplerTimeProfile) -> None:
 
 def write_profile_csv(path, profile: DopplerTimeProfile) -> None:
     """Doppler-time profile as CSV: window-time header row, velocity column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["velocity_mps"] +
-                        [repr(float(t)) for t in profile.window_times_s])
-        for row, p in enumerate(profile.doppler_bins()):
-            writer.writerow([repr(float(p) * profile.velocity_scale_mps)] +
-                            [repr(float(x)) for x in profile.values[row]])
+    _write_grid_csv(
+        path, "velocity_mps", profile.window_times_s.tolist(),
+        (profile.doppler_bins() * profile.velocity_scale_mps).tolist(),
+        profile.values)
 
 
 def write_detections_jsonl(path, detections: Sequence[Detection]) -> None:

@@ -168,10 +168,12 @@ def cmd_process(args) -> int:
 
     # Sync (if any) already ran over the whole capture; windows are
     # independent from here on.
-    detections = rdmap.track(
-        capture, cfg, args.window, args.stride, apply_sync=False,
-        apply_sic=not args.no_sic, window_fn=args.fft_window,
-        threshold_db=args.threshold_db)
+    def maps():
+        return rdmap.window_maps(
+            capture, cfg, args.window, args.stride, apply_sync=False,
+            apply_sic=not args.no_sic, window_fn=args.fft_window)
+
+    detections = rdmap.track(maps(), threshold_db=args.threshold_db)
     if args.out:
         capture_io.write_detections_jsonl(args.out, detections)
     else:
@@ -180,17 +182,12 @@ def cmd_process(args) -> int:
 
     if args.emit_maps:
         os.makedirs(args.emit_maps, exist_ok=True)
-        maps = rdmap.window_maps(
-            capture, cfg, args.window, args.stride, apply_sync=False,
-            apply_sic=not args.no_sic, window_fn=args.fft_window)
-        for index, rdm in enumerate(maps):
+        for index, rdm in enumerate(maps()):
             base = os.path.join(args.emit_maps, f"map_{index:05d}")
             capture_io.write_map_csv(base + ".csv", rdm)
             capture_io.write_map_pgm(base + ".pgm", rdm)
     if args.emit_spectrogram:
-        profile = rdmap.doppler_time_profile(
-            capture, cfg, args.window, args.stride, apply_sync=False,
-            apply_sic=not args.no_sic, window_fn=args.fft_window)
+        profile = rdmap.doppler_time_profile(maps())
         if args.emit_spectrogram.endswith(".pgm"):
             capture_io.write_profile_pgm(args.emit_spectrogram, profile)
         else:

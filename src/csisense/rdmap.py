@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import sic
-from .sync import SyncParams, synchronize
+from .sync import synchronize
 from .waveform import WaveformConfig
 
 WINDOW_FUNCTIONS = ("rect", "hann")
@@ -232,9 +232,13 @@ def window_starts(n_frames: int, window: int, stride: int) -> range:
 def window_maps(capture: np.ndarray, cfg: WaveformConfig,
                 window: Optional[int] = None, stride: int = 1, *,
                 apply_sync: bool = True, apply_sic: bool = True,
-                sync_params: Optional[SyncParams] = None,
-                window_fn: str = "hann"):
-    """Yield one range-Doppler map per sliding window, center-timestamped."""
+                window_fn: str = "hann") -> Iterator[RangeDopplerMap]:
+    """Yield one range-Doppler map per sliding window, center-timestamped.
+
+    Synchronization runs once over the whole capture (the sample-clock
+    offset is constant and phase alignment is sequential); each window is
+    then DC-removed and transformed independently.
+    """
     window = window if window is not None else cfg.n_frames
     capture = np.asarray(capture, dtype=complex)
     if capture.ndim != 2:
@@ -243,7 +247,7 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     cfg_win = (cfg if cfg.n_frames == window
                else dc_replace(cfg, n_frames=window))
     if apply_sync:
-        capture, _ = synchronize(capture, sync_params)
+        capture, _ = synchronize(capture)
     half = (window - 1) / 2.0
     for start in starts:
         block = capture[start:start + window]
@@ -253,43 +257,29 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
         yield range_doppler(block, cfg_win, window_fn=window_fn, timestamp_s=t)
 
 
-def track(capture: np.ndarray, cfg: WaveformConfig,
-          window: Optional[int] = None, stride: int = 1, *,
-          apply_sync: bool = True, apply_sic: bool = True,
-          sync_params: Optional[SyncParams] = None, window_fn: str = "hann",
+def track(maps: Iterable[RangeDopplerMap],
           threshold_db: float = 12.0) -> List[Detection]:
-    """Strongest detection per sliding window over a long capture.
-
-    Synchronization runs once over the whole capture (the sample-clock
-    offset is constant and phase alignment is sequential); each window is
-    then DC-removed, transformed, and searched independently. Timestamps
-    sit at window centers; windows with nothing above threshold simply
-    contribute no detection.
-    """
+    """Strongest detection per map (e.g. from ``window_maps``); maps with
+    nothing above threshold simply contribute no detection."""
     detections: List[Detection] = []
-    for rdm in window_maps(capture, cfg, window, stride,
-                           apply_sync=apply_sync, apply_sic=apply_sic,
-                           sync_params=sync_params, window_fn=window_fn):
+    for rdm in maps:
         picks = detect(rdm, threshold_db=threshold_db, max_targets=1)
         if picks:
             detections.append(picks[0])
     return detections
 
 
-def doppler_time_profile(capture: np.ndarray, cfg: WaveformConfig,
-                         window: Optional[int] = None, stride: int = 1, *,
-                         apply_sync: bool = True, apply_sic: bool = True,
-                         sync_params: Optional[SyncParams] = None,
-                         window_fn: str = "hann") -> DopplerTimeProfile:
-    """Doppler spectrogram: per window, map energy summed over range bins."""
+def doppler_time_profile(maps: Iterable[RangeDopplerMap]
+                         ) -> DopplerTimeProfile:
+    """Doppler spectrogram: per map, energy summed over range bins."""
     columns = []
     times = []
-    for rdm in window_maps(capture, cfg, window, stride,
-                           apply_sync=apply_sync, apply_sic=apply_sic,
-                           sync_params=sync_params, window_fn=window_fn):
+    rdm = None
+    for rdm in maps:
         columns.append(np.sum(rdm.magnitude() ** 2, axis=1))
         times.append(rdm.timestamp_s)
-    # window_starts yields at least one window, so the last map is bound.
+    if rdm is None:
+        raise ValueError("no maps to profile")
     return DopplerTimeProfile(
         values=np.array(columns).T,
         velocity_scale_mps=rdm.velocity_scale_mps,

@@ -228,8 +228,9 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None
     received = time_domain(grid[0])
     coarse = coarse_delay(reference, received, max_lag)
     fine = fine_delay(reference, received, coarse, p.upsample_factor)
-    compensated = compensate_delay(grid, coarse + fine)
-    aligned, report = align_phases(compensated, p)
+    # Rebinding frees each stage's input, so at most two full copies are live.
+    grid = compensate_delay(grid, coarse + fine)
+    grid, report = align_phases(grid, p)
     report.coarse_lag_samples = int(coarse)
     report.fine_lag_samples = float(fine)
-    return aligned, report
+    return grid, report

@@ -10,7 +10,7 @@ import pytest
 from csisense.channel import (Impairments, Scene, Target, csi_divide,
                               oracle_spectrum, simulate_capture)
 from csisense.cli import main
-from csisense.rdmap import doppler_time_profile, range_doppler
+from csisense.rdmap import doppler_time_profile, range_doppler, window_maps
 from csisense.sic import remove_dc
 from csisense.sync import SyncParams, align_phases, frame_phase, synchronize
 from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
@@ -194,7 +194,8 @@ def test_criterion_7_simulated_gesture():
     cfg_sim, capture, truth = simulate_scenario(scenario, seed=1)
     cfg = make_config(n_subcarriers=512, n_frames=32, **WIFI)
 
-    profile = doppler_time_profile(capture, cfg, window=32, stride=1)
+    profile = doppler_time_profile(window_maps(capture, cfg, window=32,
+                                               stride=1))
     dominant = profile.doppler_bins()[np.argmax(profile.values, axis=0)]
     truth_velocity = np.interp(profile.window_times_s, truth.times_s,
                                truth.velocities_mps)
@@ -207,8 +208,8 @@ def test_criterion_7_simulated_gesture():
     signs_ok = bool(np.all(agree | near_reversal))
     flips = int(np.sum(np.abs(np.diff(np.sign(dominant))) > 0))
 
-    rect = doppler_time_profile(capture, cfg, window=32, stride=4,
-                                window_fn="rect")
+    rect = doppler_time_profile(window_maps(capture, cfg, window=32, stride=4,
+                                            window_fn="rect"))
     zero_row = rect.values.shape[0] // 2
     ridge_ratio = float(np.sum(rect.values[zero_row]) / np.sum(rect.values))
 

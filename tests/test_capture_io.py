@@ -1,8 +1,12 @@
+import csv
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csisense.capture_io import (CaptureFormatError, Trajectory,
                                  read_capture, read_capture_array,
@@ -12,7 +16,8 @@ from csisense.capture_io import (CaptureFormatError, Trajectory,
                                  write_map_pgm, write_profile_csv,
                                  write_sync_report_json)
 from csisense.channel import Scene, Target, csi_divide, simulate_capture
-from csisense.rdmap import Detection, DopplerTimeProfile, range_doppler
+from csisense.rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap,
+                            range_doppler)
 from csisense.sync import SyncReport
 from csisense.waveform import generate_ltf_symbols, make_config
 
@@ -82,6 +87,21 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CaptureFormatError, match="version"):
         read_capture(path)
+
+
+@pytest.mark.parametrize("offset", [14, 22, 30],
+                         ids=["carrier", "spacing", "interval"])
+def test_non_finite_or_non_positive_header_field(tmp_path, offset):
+    cfg = wifi_cfg()
+    path = tmp_path / "cap.bin"
+    write_capture(path, cfg, np.zeros((1, 512), dtype=np.complex64))
+    good = path.read_bytes()
+    for value in (float("nan"), float("inf"), float("-inf"), 0.0):
+        raw = bytearray(good)
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CaptureFormatError, match="non-finite"):
+            read_capture(path)
 
 
 def test_truncation_reports_frame(tmp_path):
@@ -155,6 +175,10 @@ def test_ground_truth_rejects_disorder_and_bad_header(tmp_path):
     path.write_text("t,range_m,velocity_mps\n1,2\n")
     with pytest.raises(CaptureFormatError, match="3 columns"):
         read_ground_truth(path)
+    for bad in ("1,nan,0", "nan,1,0", "1,2,inf", "1,2,-inf"):
+        path.write_text(f"t,range_m,velocity_mps\n0,1,0\n{bad}\n")
+        with pytest.raises(CaptureFormatError, match="line 3: non-finite"):
+            read_ground_truth(path)
 
 
 def test_ground_truth_round_trip(tmp_path):
@@ -215,6 +239,72 @@ def test_profile_csv_layout(tmp_path):
     assert lines[0].split(",")[1:] == ["0.1", "0.2", "0.3"]
     assert len(lines) == 5
     assert float(lines[1].split(",")[0]) == pytest.approx(-2 * 0.05)
+
+
+def reference_map_csv(path, rdm):
+    """The per-cell ``repr`` writer that ``write_map_csv`` must match."""
+    mag = rdm.magnitude()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["velocity_mps"] +
+                        [repr(l * rdm.range_scale_m) for l in range(rdm.n_range)])
+        for row, p in enumerate(rdm.doppler_bins()):
+            writer.writerow([repr(float(p) * rdm.velocity_scale_mps)] +
+                            [repr(float(x)) for x in mag[row]])
+
+
+def reference_profile_csv(path, profile):
+    """The per-cell ``repr`` writer that ``write_profile_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["velocity_mps"] +
+                        [repr(float(t)) for t in profile.window_times_s])
+        for row, p in enumerate(profile.doppler_bins()):
+            writer.writerow([repr(float(p) * profile.velocity_scale_mps)] +
+                            [repr(float(x)) for x in profile.values[row]])
+
+
+AWKWARD = np.array([[5e-324, 1e-300, 0.1 + 0.2],
+                    [1e300, 0.0, 3.0],
+                    [2.0 ** 53, 7.0, 1.0 / 3.0],
+                    [1e-5, 123456789.0, 2.5e-8]])
+
+
+def test_grid_writers_match_reference_bytes(tmp_path):
+    rdm = RangeDopplerMap(values=AWKWARD, range_scale_m=0.1,
+                          velocity_scale_mps=1.0 / 3.0)
+    write_map_csv(tmp_path / "map.csv", rdm)
+    reference_map_csv(tmp_path / "ref_map.csv", rdm)
+    assert (tmp_path / "map.csv").read_bytes() \
+        == (tmp_path / "ref_map.csv").read_bytes()
+    exported = map_for_export()
+    write_map_csv(tmp_path / "map.csv", exported)
+    reference_map_csv(tmp_path / "ref_map.csv", exported)
+    assert (tmp_path / "map.csv").read_bytes() \
+        == (tmp_path / "ref_map.csv").read_bytes()
+
+    profile = DopplerTimeProfile(values=AWKWARD, velocity_scale_mps=0.1,
+                                 window_times_s=np.array([0.1, 0.2, 0.3]))
+    write_profile_csv(tmp_path / "prof.csv", profile)
+    reference_profile_csv(tmp_path / "ref_prof.csv", profile)
+    assert (tmp_path / "prof.csv").read_bytes() \
+        == (tmp_path / "ref_prof.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64,
+                  hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(min_value=0.0, allow_nan=False,
+                                     allow_infinity=False)))
+def test_map_csv_parses_back_exactly(tmp_path_factory, magnitudes):
+    path = tmp_path_factory.mktemp("grid") / "map.csv"
+    write_map_csv(path, RangeDopplerMap(values=magnitudes, range_scale_m=0.1,
+                                        velocity_scale_mps=0.05))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    back = np.array([[float(x) for x in row[1:]] for row in rows])
+    assert back.shape == magnitudes.shape
+    assert np.all(back == magnitudes)
 
 
 def test_detections_jsonl_round_trip(tmp_path):

@@ -216,6 +216,17 @@ def test_process_non_finite_sample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+def test_process_non_finite_header_exits_2(workdir, tmp_path, capsys):
+    raw = bytearray((workdir / "cap.bin").read_bytes())
+    raw[14:22] = struct.pack("<d", float("nan"))  # carrier frequency
+    bad = tmp_path / "nan_carrier.bin"
+    bad.write_bytes(bytes(raw))
+    assert main(["process", str(bad), "--window", "16",
+                 "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert "non-finite header field" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
 def test_process_trailing_bytes_exits_2(workdir, tmp_path, capsys):
     padded = tmp_path / "padded.bin"
     padded.write_bytes((workdir / "cap.bin").read_bytes() + b"\0" * 8)

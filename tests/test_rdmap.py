@@ -191,7 +191,7 @@ def test_track_test1_counts_and_velocity():
     cap = path_capture(cfg, 156, [(0.0, 0.6), (3.9, 0.3)],
                        coupling=Target(0.0, 0.0, 10.0 ** 1.5), snr_db=20.0,
                        impairments=Impairments(rng_seed=1))
-    detections = track(cap, cfg, window=32, stride=1)
+    detections = track(window_maps(cap, cfg, window=32, stride=1))
     assert len(detections) == 125
     mean_v = np.mean([d.velocity_mps for d in detections])
     assert mean_v == pytest.approx(-0.075, abs=0.01)
@@ -204,7 +204,7 @@ def test_track_static_scene_detects_nothing():
     cap = path_capture(cfg, 48, [(0.0, 5.0, 0.0)],
                        coupling=Target(0.0, 0.0, 100.0),
                        clutter=(Target(20.0, 0.0, 2.0),))
-    assert track(cap, cfg, window=16, stride=1) == []
+    assert track(window_maps(cap, cfg, window=16, stride=1)) == []
 
 
 def test_track_stride_timestamps_are_subsequence():
@@ -212,8 +212,8 @@ def test_track_stride_timestamps_are_subsequence():
     cap = path_capture(cfg, 64, [(0.0, 10.0), (1.6, 10.48)],
                        coupling=Target(0.0, 0.0, 50.0), snr_db=25.0,
                        impairments=Impairments(rng_seed=6))
-    t1 = [d.time_s for d in track(cap, cfg, window=16, stride=1)]
-    t2 = [d.time_s for d in track(cap, cfg, window=16, stride=2)]
+    t1 = [d.time_s for d in track(window_maps(cap, cfg, window=16, stride=1))]
+    t2 = [d.time_s for d in track(window_maps(cap, cfg, window=16, stride=2))]
     assert set(t2) <= set(t1)
 
 
@@ -221,21 +221,27 @@ def test_track_capture_shorter_than_window():
     cfg = cfg_of(n=32, m=8)
     cap = np.ones((8, 32), dtype=complex)
     with pytest.raises(ValueError, match="shorter than"):
-        track(cap, cfg, window=16)
+        track(window_maps(cap, cfg, window=16))
+
+
+def test_track_and_profile_of_no_maps():
+    assert track([]) == []
+    with pytest.raises(ValueError, match="no maps"):
+        doppler_time_profile([])
 
 
 def test_profile_static_scene_concentrates_then_empties():
     cfg = cfg_of(n=64, m=48)
     cap = path_capture(cfg, 48, [(0.0, 10.0, 0.0)],
                        coupling=Target(0.0, 0.0, 100.0))
-    raw = doppler_time_profile(cap, cfg, window=16, stride=4,
-                               apply_sync=False, apply_sic=False,
-                               window_fn="rect")
+    raw = doppler_time_profile(window_maps(cap, cfg, window=16, stride=4,
+                                           apply_sync=False, apply_sic=False,
+                                           window_fn="rect"))
     zero_row = raw.values.shape[0] // 2
     assert np.sum(raw.values[zero_row]) / np.sum(raw.values) > 0.99
-    clean = doppler_time_profile(cap, cfg, window=16, stride=4,
-                                 apply_sync=False, apply_sic=True,
-                                 window_fn="rect")
+    clean = doppler_time_profile(window_maps(cap, cfg, window=16, stride=4,
+                                             apply_sync=False, apply_sic=True,
+                                             window_fn="rect"))
     # everything in this scene is static, so removal empties the profile
     assert np.all(clean.values[zero_row] <= 1e-18 * np.sum(raw.values))
 
@@ -246,8 +252,9 @@ def test_profile_constant_velocity_single_ridge():
                                            **WIFI))
     cap = path_capture(cfg, 64, [(0.0, 10.0), (1.6, 10.0 + 1.6 * v)],
                        coupling=Target(0.0, 0.0, 50.0))
-    profile = doppler_time_profile(cap, cfg, window=16, stride=4,
-                                   apply_sync=False, window_fn="rect")
+    profile = doppler_time_profile(window_maps(cap, cfg, window=16, stride=4,
+                                               apply_sync=False,
+                                               window_fn="rect"))
     dominant = profile.doppler_bins()[np.argmax(profile.values, axis=0)]
     assert np.all(dominant == 4)
 
@@ -257,7 +264,7 @@ def test_profile_gesture_alternates_sign():
     path = [(0.0, 0.1), (1.0, 0.5), (2.0, 0.1), (3.0, 0.5), (4.0, 0.1)]
     cap = path_capture(cfg, 160, path, coupling=Target(0.0, 0.0, 50.0),
                        snr_db=25.0, impairments=Impairments(rng_seed=2))
-    profile = doppler_time_profile(cap, cfg, window=32, stride=4)
+    profile = doppler_time_profile(window_maps(cap, cfg, window=32, stride=4))
     dominant = profile.doppler_bins()[np.argmax(profile.values, axis=0)]
     velocity = np.where((profile.window_times_s % 2.0) < 1.0, 0.4, -0.4)
     near_reversal = np.minimum(profile.window_times_s % 1.0,
