@@ -93,19 +93,17 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
 
 def read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
     """Open a capture for streaming: header plus a one-frame-at-a-time
-    generator. Truncated payloads and non-finite samples raise with the
-    offending frame index; bytes past the header's last frame raise once
-    the generator is exhausted."""
-    fh = open(path, "rb")
-    try:
+    generator, which opens the payload once iteration starts. Truncated
+    payloads and non-finite samples raise with the offending frame index;
+    bytes past the header's last frame raise once the generator is
+    exhausted."""
+    with open(path, "rb") as fh:
         header = read_header(fh)
-    except Exception:
-        fh.close()
-        raise
 
     def frames() -> Iterator[np.ndarray]:
         frame_bytes = header.n_subcarriers * _ENTRY_BYTES
-        try:
+        with open(path, "rb") as fh:
+            fh.seek(_HEADER.size)
             for index in range(header.n_frames):
                 raw = fh.read(frame_bytes)
                 if len(raw) < frame_bytes:
@@ -123,8 +121,6 @@ def read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
                 raise CaptureFormatError(
                     f"payload continues past the {header.n_frames} frames "
                     f"the header declares")
-        finally:
-            fh.close()
 
     return header, frames()
 
@@ -212,7 +208,7 @@ def write_map_csv(path, rdm: RangeDopplerMap) -> None:
     _write_grid_csv(path, "velocity_mps",
                     (np.arange(rdm.n_range) * rdm.range_scale_m).tolist(),
                     (rdm.doppler_bins() * rdm.velocity_scale_mps).tolist(),
-                    rdm.magnitude())
+                    rdm.values)
 
 
 def _to_pgm(values_db: np.ndarray) -> bytes:
@@ -225,7 +221,7 @@ def _to_pgm(values_db: np.ndarray) -> bytes:
 
 def write_map_pgm(path, rdm: RangeDopplerMap) -> None:
     """Log-magnitude map as 8-bit binary PGM, normalized per map."""
-    mag = rdm.magnitude()
+    mag = rdm.values
     floor = np.max(mag) * 1e-9 if np.max(mag) > 0 else 1.0
     db = 20.0 * np.log10(np.maximum(mag, floor))
     with open(path, "wb") as fh:

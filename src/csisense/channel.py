@@ -185,9 +185,7 @@ def csi_divide(received: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return received / symbols
 
 
-def oracle_spectrum(cfg: WaveformConfig, scene: Scene,
-                    range_bins: Optional[int] = None,
-                    doppler_bins: Optional[int] = None) -> RangeDopplerMap:
+def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:
     """Brute-force magnitude spectrum of a noiseless, impairment-free scene.
 
     Evaluates the channel matrix directly from the target parameters and
@@ -202,25 +200,17 @@ def oracle_spectrum(cfg: WaveformConfig, scene: Scene,
         raise ValueError("oracle requires an impairment-free scene")
     _check_bounds(cfg, scene.reflectors())
     m_total, n_total = cfg.n_frames, cfg.n_subcarriers
-    n_range = n_total if range_bins is None else int(range_bins)
-    n_doppler = m_total if doppler_bins is None else int(doppler_bins)
-
     d = _channel_rows(cfg, scene.reflectors(), np.arange(m_total))
     m = np.arange(m_total)
     n = np.arange(n_total)
-    doppler_axis = np.arange(n_doppler) - n_doppler // 2
-    values = np.zeros((n_doppler, n_range))
-    for pi, p in enumerate(doppler_axis):
+    values = np.zeros((m_total, n_total))
+    for pi, p in enumerate(np.arange(m_total) - m_total // 2):
         doppler_kernel = np.exp(-2j * np.pi * p * m / m_total)
-        for li in range(n_range):
+        for li in range(n_total):
             range_kernel = np.exp(2j * np.pi * li * n / n_total)
             values[pi, li] = np.abs(
                 np.sum(d * np.outer(doppler_kernel, range_kernel)))
-    return RangeDopplerMap(
-        values=values,
-        range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz),
-        velocity_scale_mps=cfg.wave_speed_mps / (
-            2.0 * cfg.carrier_freq_hz * m_total * cfg.frame_interval_s))
+    return RangeDopplerMap.from_config(values, cfg, 0.0)
 
 
 def trajectory_samples(path: Sequence[Tuple], frame_count: int,

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import capture_io, rdmap
 from .capture_io import CaptureFormatError
-from .scenarios import PRESET_CONFIGS, ScenarioError, load_scenario, simulate_scenario
+from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
+                        load_scenario, simulate_scenario)
 from .sync import SyncParams, synchronize
 from .waveform import SPEED_OF_LIGHT, make_config, resolution_report
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coarse delay search half-width (default N/4)")
     proc.add_argument("--fft-window", choices=rdmap.WINDOW_FUNCTIONS,
                       default="hann")
-    proc.add_argument("--threshold-db", type=float, default=12.0)
+    proc.add_argument("--threshold-db", type=finite_float, default=12.0)
     proc.add_argument("--emit-maps", metavar="DIR",
                       help="write per-window CSV+PGM maps here")
     proc.add_argument("--emit-spectrogram", metavar="FILE",
@@ -94,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="compare detections against truth")
     ev.add_argument("detections", help="JSON-lines detections file")
     ev.add_argument("truth", help="truth CSV")
-    ev.add_argument("--max-range-err", type=float, default=0.10,
+    ev.add_argument("--max-range-err", type=finite_float, default=0.10,
                     help="median range error limit, m")
-    ev.add_argument("--max-vel-err", type=float, default=0.03,
+    ev.add_argument("--max-vel-err", type=finite_float, default=0.03,
                     help="median velocity error limit, m/s")
-    ev.add_argument("--min-true-velocity", type=float, default=0.0,
+    ev.add_argument("--min-true-velocity", type=finite_float, default=0.0,
                     help="skip detections where |true velocity| is below this")
     ev.set_defaults(func=cmd_eval)
     return parser

@@ -17,18 +17,31 @@ WINDOW_FUNCTIONS = ("rect", "hann")
 
 @dataclass
 class RangeDopplerMap:
-    """2D spectrum over (Doppler bin, range bin) with physical axis scales.
+    """2D spectrum magnitude over (Doppler bin, range bin) with physical
+    axis scales.
 
     Rows are Doppler bins p in [-P/2, P/2) with bin 0 at the center row;
-    columns are range bins l in [0, L). ``values`` may be complex (FFT
-    pipeline) or real magnitude (oracle). Scales are meters / m-per-second
-    per bin of this map.
+    columns are range bins l in [0, L). ``values`` is the real magnitude
+    of the spectrum. Scales are meters / m-per-second per bin of this map.
     """
 
     values: np.ndarray
     range_scale_m: float
     velocity_scale_mps: float
     timestamp_s: float = 0.0
+
+    @classmethod
+    def from_config(cls, values: np.ndarray, cfg: WaveformConfig,
+                    timestamp_s: float) -> "RangeDopplerMap":
+        """Map of ``values`` with the bin scales of ``cfg``; the Doppler
+        bin width follows from the row count (frames per map)."""
+        return cls(
+            values=values,
+            range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz),
+            velocity_scale_mps=cfg.wave_speed_mps / (
+                2.0 * cfg.carrier_freq_hz * values.shape[0]
+                * cfg.frame_interval_s),
+            timestamp_s=timestamp_s)
 
     @property
     def n_doppler(self) -> int:
@@ -39,7 +52,7 @@ class RangeDopplerMap:
         return self.values.shape[1]
 
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        return self.values
 
     def doppler_bins(self) -> np.ndarray:
         """Signed Doppler bin index per row."""
@@ -47,7 +60,7 @@ class RangeDopplerMap:
 
     def argmax_cell(self) -> Tuple[int, int]:
         """(row, col) of the magnitude maximum."""
-        idx = int(np.argmax(self.magnitude()))
+        idx = int(np.argmax(self.values))
         return idx // self.n_range, idx % self.n_range
 
     def argmax_bin(self) -> Tuple[int, int]:
@@ -118,17 +131,7 @@ def range_doppler(grid: np.ndarray, cfg: WaveformConfig,
     # exponential peaks at magnitude M*N under a rectangular window.
     range_profiles = np.fft.ifft(tapered, axis=1) * n_sub
     spectrum = np.fft.fftshift(np.fft.fft(range_profiles, axis=0), axes=0)
-    return RangeDopplerMap(
-        values=spectrum,
-        range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz),
-        velocity_scale_mps=cfg.wave_speed_mps / (
-            2.0 * cfg.carrier_freq_hz * m_frames * cfg.frame_interval_s),
-        timestamp_s=timestamp_s)
-
-
-def _log_magnitude(mag: np.ndarray) -> np.ndarray:
-    floor = np.max(mag) * 1e-15 if np.max(mag) > 0 else 1e-300
-    return np.log(np.maximum(mag, floor))
+    return RangeDopplerMap.from_config(np.abs(spectrum), cfg, timestamp_s)
 
 
 def _parabolic_offset(left: float, center: float, right: float) -> float:
@@ -149,36 +152,36 @@ def estimate_peak(rdm: RangeDopplerMap,
     are clamped to half a bin and the range estimate to >= 0.
     """
     row, col = cell
-    mag = rdm.magnitude()
-    logmag = _log_magnitude(mag)
+    mag = rdm.values
     up, down = (row - 1) % rdm.n_doppler, (row + 1) % rdm.n_doppler
     left, right = (col - 1) % rdm.n_range, (col + 1) % rdm.n_range
-    here = mag[row, col]
-    if here < mag[up, col] or here < mag[down, col] \
-            or here < mag[row, left] or here < mag[row, right]:
+    cells = mag[[row, row, row, up, down], [col, left, right, col, col]]
+    if np.any(cells[0] < cells[1:]):
         raise ValueError(f"cell {cell} is not a local maximum")
-    off_l = _parabolic_offset(logmag[row, left], logmag[row, col],
-                              logmag[row, right])
-    off_p = _parabolic_offset(logmag[up, col], logmag[row, col],
-                              logmag[down, col])
+    peak = np.max(mag)
+    here, west, east, north, south = np.log(
+        np.maximum(cells, peak * 1e-15 if peak > 0 else 1e-300))
+    off_l = _parabolic_offset(west, here, east)
+    off_p = _parabolic_offset(north, here, south)
     bin_p = row - rdm.n_doppler // 2
     range_m = max(0.0, (col + off_l) * rdm.range_scale_m)
     # keep the estimate inside the physical axes even at edge bins
     velocity_limit = rdm.velocity_scale_mps * rdm.n_doppler / 2.0
     velocity = float(np.clip((bin_p + off_p) * rdm.velocity_scale_mps,
                              -velocity_limit, velocity_limit))
-    power_db = 20.0 * logmag[row, col] / np.log(10.0)
+    power_db = 20.0 * here / np.log(10.0)
     return range_m, velocity, power_db
 
 
 def _local_maxima(mag: np.ndarray) -> np.ndarray:
     """Boolean mask of cells >= all 8 neighbors (circular on both axes)."""
+    rows, cols = mag.shape
+    padded = np.pad(mag, 1, mode="wrap")
     mask = np.ones_like(mag, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            mask &= mag >= np.roll(np.roll(mag, dr, axis=0), dc, axis=1)
+    for dr in range(3):
+        for dc in range(3):
+            if dr != 1 or dc != 1:
+                mask &= mag >= padded[dr:dr + rows, dc:dc + cols]
     return mask
 
 
@@ -191,7 +194,7 @@ def detect(rdm: RangeDopplerMap, threshold_db: float = 12.0,
     neighborhood, and are refined by sub-bin interpolation. Reported power
     is dB above the floor.
     """
-    mag = rdm.magnitude()
+    mag = rdm.values
     floor = float(np.median(mag))
     if floor <= 0.0:
         floor = float(np.max(mag)) * 1e-9
@@ -276,7 +279,7 @@ def doppler_time_profile(maps: Iterable[RangeDopplerMap]
     times = []
     rdm = None
     for rdm in maps:
-        columns.append(np.sum(rdm.magnitude() ** 2, axis=1))
+        columns.append(np.sum(rdm.values ** 2, axis=1))
         times.append(rdm.timestamp_s)
     if rdm is None:
         raise ValueError("no maps to profile")

@@ -1,6 +1,7 @@
 """Built-in scenario presets and the key-value scenario file parser."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -90,13 +91,21 @@ class Scenario:
             wave_speed_mps=self.wave_speed_mps)
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, raising ``ValueError`` on NaN or infinity too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_path(value: str) -> List[Tuple[float, ...]]:
     points = []
     for chunk in value.split(";"):
         parts = [p.strip() for p in chunk.split(",") if p.strip()]
         if len(parts) not in (2, 3):
             raise ScenarioError(f"path waypoint {chunk!r} needs t,range[,velocity]")
-        points.append(tuple(float(p) for p in parts))
+        points.append(tuple(finite_float(p) for p in parts))
     if not points:
         raise ScenarioError("path has no waypoints")
     return points
@@ -108,7 +117,7 @@ def _parse_clutter(value: str) -> List[Tuple[float, float]]:
         parts = [p.strip() for p in chunk.split(",") if p.strip()]
         if len(parts) != 2:
             raise ScenarioError(f"clutter entry {chunk!r} needs range,gain")
-        out.append((float(parts[0]), float(parts[1])))
+        out.append((finite_float(parts[0]), finite_float(parts[1])))
     return out
 
 
@@ -138,21 +147,22 @@ def parse_scenario(text: str) -> Scenario:
         key, value = key.strip(), value.strip()
         try:
             if key == "subcarriers":
-                values["n_subcarriers"] = int(float(value))
+                values["n_subcarriers"] = int(finite_float(value))
             elif key == "frame_count":
-                values["frame_count"] = int(float(value))
+                values["frame_count"] = int(finite_float(value))
             elif key == "seed":
-                values["seed"] = int(float(value))
+                values["seed"] = int(finite_float(value))
             elif key == "bandwidth_hz":
-                values["bandwidth_hz"] = float(value)
+                values["bandwidth_hz"] = finite_float(value)
             elif key == "snr_db":
-                values["snr_db"] = None if value.lower() == "none" else float(value)
+                values["snr_db"] = (None if value.lower() == "none"
+                                    else finite_float(value))
             elif key == "path":
                 values["path"] = _parse_path(value)
             elif key == "clutter":
                 values["clutter"] = _parse_clutter(value)
             elif key in _FLOAT_KEYS:
-                values[_FLOAT_KEYS[key]] = float(value)
+                values[_FLOAT_KEYS[key]] = finite_float(value)
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         except ValueError as exc:

@@ -90,6 +90,16 @@ def test_simulate_deterministic(workdir, tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (workdir / "cap.bin").read_bytes()
 
 
+def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "nan.scenario"
+    scenario.write_text(SMALL_SCENARIO.replace("snr_db = 20", "snr_db = nan"))
+    out = tmp_path / "cap.bin"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "line 6: 'nan' is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_exits_2(tmp_path):
     assert main(["simulate", "--scenario", "nope",
                  "--out", str(tmp_path / "x.bin")]) == 2
@@ -185,6 +195,26 @@ def test_process_bad_stride_writes_nothing(workdir, tmp_path):
     assert main(["process", str(workdir / "cap.bin"), "--window", "16",
                  "--stride", "0", "--emit-sync-report", str(report)]) == 3
     assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_process_non_finite_threshold_writes_nothing(workdir, tmp_path,
+                                                     capsys, value):
+    out, report = tmp_path / "d.jsonl", tmp_path / "sync.json"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 f"--threshold-db={value}", "--out", str(out),
+                 "--emit-sync-report", str(report)]) == 3
+    assert "invalid finite_float value" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-range-err", "--max-vel-err",
+                                  "--min-true-velocity"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_non_finite_limit_exits_3(workdir, capsys, flag, value):
+    assert main(["eval", str(workdir / "det.jsonl"),
+                 str(workdir / "cap.truth.csv"), f"{flag}={value}"]) == 3
+    assert "invalid finite_float value" in capsys.readouterr().err
 
 
 def test_process_bad_capture_exits_2(tmp_path):

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csisense.channel import (Impairments, Scene, Target, csi_divide,
                               oracle_spectrum, simulate_capture,
                               simulate_trajectory)
-from csisense.rdmap import (detect, doppler_time_profile, estimate_peak,
+from csisense.rdmap import (RangeDopplerMap, _local_maxima, _parabolic_offset,
+                            detect, doppler_time_profile, estimate_peak,
                             range_doppler, track, window_maps)
 from csisense.sic import remove_dc
 from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
-                               make_config, range_resolution)
+                               make_config, range_resolution,
+                               unambiguous_limits)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -46,6 +51,92 @@ def test_zero_grid_zero_map():
     cfg = cfg_of()
     rdm = range_doppler(np.zeros((16, 32), dtype=complex), cfg)
     assert np.all(rdm.values == 0)
+
+
+def test_values_are_the_real_fft_magnitude():
+    cfg = cfg_of()
+    rng = np.random.default_rng(4)
+    grid = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+    rdm = range_doppler(grid, cfg, window_fn="rect")
+    spectrum = np.fft.fftshift(
+        np.fft.fft(np.fft.ifft(grid, axis=1) * 32, axis=0), axes=0)
+    assert rdm.values.dtype == np.float64
+    assert np.array_equal(rdm.values, np.abs(spectrum))
+    assert rdm.magnitude() is rdm.values
+
+
+def reference_local_maxima(mag):
+    """The 16-``np.roll`` neighbor comparison ``_local_maxima`` replaced."""
+    mask = np.ones_like(mag, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            mask &= mag >= np.roll(np.roll(mag, dr, axis=0), dc, axis=1)
+    return mask
+
+
+def reference_estimate_peak(rdm, cell):
+    """``estimate_peak`` as it was, taking the log of the whole map."""
+    row, col = cell
+    mag = rdm.values
+    floor = np.max(mag) * 1e-15 if np.max(mag) > 0 else 1e-300
+    logmag = np.log(np.maximum(mag, floor))
+    up, down = (row - 1) % rdm.n_doppler, (row + 1) % rdm.n_doppler
+    left, right = (col - 1) % rdm.n_range, (col + 1) % rdm.n_range
+    off_l = _parabolic_offset(logmag[row, left], logmag[row, col],
+                              logmag[row, right])
+    off_p = _parabolic_offset(logmag[up, col], logmag[row, col],
+                              logmag[down, col])
+    bin_p = row - rdm.n_doppler // 2
+    range_m = max(0.0, (col + off_l) * rdm.range_scale_m)
+    velocity_limit = rdm.velocity_scale_mps * rdm.n_doppler / 2.0
+    velocity = float(np.clip((bin_p + off_p) * rdm.velocity_scale_mps,
+                             -velocity_limit, velocity_limit))
+    power_db = 20.0 * logmag[row, col] / np.log(10.0)
+    return range_m, velocity, power_db
+
+
+MAP_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.int64, MAP_SHAPES, elements=st.integers(0, 3)))
+def test_local_maxima_matches_roll_reference(levels):
+    # Few levels, so ties and plateaus are common.
+    mag = levels.astype(float)
+    assert np.array_equal(_local_maxima(mag), reference_local_maxima(mag))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float64, MAP_SHAPES,
+                  elements=st.one_of(
+                      st.just(0.0),
+                      st.floats(min_value=1e-300, max_value=1e300))))
+def test_estimate_peak_matches_whole_map_log(values):
+    rdm = RangeDopplerMap(values=values, range_scale_m=0.3,
+                          velocity_scale_mps=0.03)
+    cell = rdm.argmax_cell()
+    assert estimate_peak(rdm, cell) == reference_estimate_peak(rdm, cell)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_fft_argmax_matches_oracle_on_bin(data):
+    cfg = cfg_of(n=16, m=8)
+    r_max, v_max = unambiguous_limits(cfg)
+    range_bin = data.draw(st.integers(0, cfg.n_subcarriers - 1))
+    doppler_bin = data.draw(st.integers(-(cfg.n_frames // 2) + 1,
+                                        cfg.n_frames // 2 - 1))
+    gain = data.draw(st.floats(0.1, 10.0)) * np.exp(
+        1j * data.draw(st.floats(-np.pi, np.pi)))
+    target = on_bin_target(cfg, range_bin, doppler_bin, gain)
+    assert 0.0 <= target.range_m < r_max
+    assert abs(target.velocity_mps) < v_max / 2.0
+    scene = Scene(targets=(target,))
+    rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="rect")
+    assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin() \
+        == (doppler_bin, range_bin)
 
 
 def test_small_grid_rejected():

@@ -34,6 +34,34 @@ def test_parse_errors():
         parse_scenario("just some text\n")
 
 
+VALID_LINES = {
+    "subcarriers": "16", "spacing_hz": "312.5e3", "frame_interval_s": "0.025",
+    "carrier_freq_hz": "6.3e9", "frame_count": "4", "path": "0, 1.0",
+}
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("subcarriers", "inf"), ("frame_count", "nan"), ("seed", "inf"),
+    ("spacing_hz", "nan"), ("bandwidth_hz", "inf"),
+    ("frame_interval_s", "inf"), ("carrier_freq_hz", "inf"),
+    ("wave_speed_mps", "nan"), ("snr_db", "nan"), ("snr_db", "-inf"),
+    ("target_gain", "nan"), ("coupling_gain_db", "inf"),
+    ("delay_offset_samples", "nan"), ("phase_jump_step_rad", "inf"),
+    ("phase_jump_prob", "nan"), ("phase_drift_std_rad", "inf"),
+    ("path", "0, 1.0; 1, nan"), ("path", "0, 1.0, inf"),
+    ("clutter", "2.0, 0.5; inf, 0.5"), ("clutter", "2.0, nan"),
+])
+def test_parse_rejects_non_finite_values(key, bad):
+    lines = dict(VALID_LINES)
+    lines.pop(key, None)
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    text += f"{key} = {bad}\n"
+    lineno = text.count("\n")
+    with pytest.raises(ScenarioError,
+                       match=f"line {lineno}: .* is not a finite number"):
+        parse_scenario(text)
+
+
 def test_parse_bandwidth_derives_spacing():
     sc = parse_scenario("""
 subcarriers = 64
