@@ -14,7 +14,7 @@ from .rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap, detect,
 from .scenarios import Scenario, ScenarioError, load_scenario, simulate_scenario
 from .sic import remove_dc
 from .sync import (SyncParams, SyncReport, align_phases, coarse_delay,
-                   compensate_delay, fine_delay, frame_phase, synchronize,
+                   compensate_delay, fine_delay, frame_phases, synchronize,
                    time_domain)
 from .waveform import (SPEED_OF_LIGHT, ResolutionReport, WaveformConfig,
                        doppler_resolution, generate_ltf_symbols, make_config,
@@ -33,7 +33,7 @@ __all__ = [
     "range_doppler", "track", "window_maps", "Scenario", "ScenarioError",
     "load_scenario", "simulate_scenario", "remove_dc", "SyncParams",
     "SyncReport", "align_phases", "coarse_delay", "compensate_delay",
-    "fine_delay", "frame_phase", "synchronize", "time_domain",
+    "fine_delay", "frame_phases", "synchronize", "time_domain",
     "SPEED_OF_LIGHT", "ResolutionReport", "WaveformConfig",
     "doppler_resolution", "generate_ltf_symbols", "make_config",
     "range_accuracy", "range_resolution", "resolution_report",

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     calc.add_argument("--frame-interval", type=float, help="seconds")
     calc.add_argument("--carrier-freq", type=float, help="Hz")
     calc.add_argument("--wave-speed", type=float, default=SPEED_OF_LIGHT)
-    calc.add_argument("--snr-db", type=float,
+    calc.add_argument("--snr-db", type=finite_float,
                       help="also print range accuracy at this SNR")
     calc.set_defaults(func=cmd_calc)
 
@@ -72,17 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip zero-Doppler removal")
     proc.add_argument("--no-sync", action="store_true",
                       help="skip delay/phase synchronization")
-    proc.add_argument("--upsample", type=int, default=16,
+    proc.add_argument("--upsample", type=int,
+                      default=SyncParams.upsample_factor,
                       help="delay refinement factor")
-    proc.add_argument("--delta", type=float, default=math.pi / 2,
+    proc.add_argument("--delta", type=float,
+                      default=SyncParams.phase_step_rad,
                       help="phase jump quantum, rad")
-    proc.add_argument("--history", type=int, default=5,
+    proc.add_argument("--history", type=int, default=SyncParams.history_len,
                       help="phase reference history, frames")
     proc.add_argument("--max-lag", type=int,
                       help="coarse delay search half-width (default N/4)")
     proc.add_argument("--fft-window", choices=rdmap.WINDOW_FUNCTIONS,
                       default="hann")
-    proc.add_argument("--threshold-db", type=finite_float, default=12.0)
+    proc.add_argument("--threshold-db", type=finite_float,
+                      default=rdmap.DEFAULT_THRESHOLD_DB)
     proc.add_argument("--emit-maps", metavar="DIR",
                       help="write per-window CSV+PGM maps here")
     proc.add_argument("--emit-spectrogram", metavar="FILE",
@@ -210,6 +213,9 @@ def cmd_eval(args) -> int:
             raise CaptureFormatError(
                 f"detection {index} lacks a numeric t/range_m/velocity_mps: "
                 f"{exc}") from exc
+        if not all(map(math.isfinite, (t, range_m, velocity))):
+            raise CaptureFormatError(
+                f"detection {index} has a non-finite t/range_m/velocity_mps")
         if abs(float(truth.velocity_at(t))) < args.min_true_velocity:
             continue
         range_errors.append(abs(range_m - float(truth.range_at(t))))

@@ -13,6 +13,8 @@ from .sync import synchronize
 from .waveform import WaveformConfig
 
 WINDOW_FUNCTIONS = ("rect", "hann")
+# Peak-over-median-floor detection threshold, dB.
+DEFAULT_THRESHOLD_DB = 12.0
 
 
 @dataclass
@@ -185,7 +187,8 @@ def _local_maxima(mag: np.ndarray) -> np.ndarray:
     return mask
 
 
-def detect(rdm: RangeDopplerMap, threshold_db: float = 12.0,
+def detect(rdm: RangeDopplerMap,
+           threshold_db: float = DEFAULT_THRESHOLD_DB,
            max_targets: int = 5) -> List[Detection]:
     """Greedy local-maxima picking above the noise floor.
 
@@ -261,7 +264,7 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
 
 
 def track(maps: Iterable[RangeDopplerMap],
-          threshold_db: float = 12.0) -> List[Detection]:
+          threshold_db: float = DEFAULT_THRESHOLD_DB) -> List[Detection]:
     """Strongest detection per map (e.g. from ``window_maps``); maps with
     nothing above threshold simply contribute no detection."""
     detections: List[Detection] = []

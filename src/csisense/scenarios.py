@@ -99,6 +99,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """An integral ``finite_float`` (so ``1e3`` is 1000) as an ``int``."""
+    value = finite_float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
 def _parse_path(value: str) -> List[Tuple[float, ...]]:
     points = []
     for chunk in value.split(";"):
@@ -120,6 +128,9 @@ def _parse_clutter(value: str) -> List[Tuple[float, float]]:
         out.append((finite_float(parts[0]), finite_float(parts[1])))
     return out
 
+
+_INT_KEYS = {"subcarriers": "n_subcarriers", "frame_count": "frame_count",
+             "seed": "seed"}
 
 _FLOAT_KEYS = {
     "spacing_hz": "subcarrier_spacing_hz",
@@ -146,12 +157,8 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
-            if key == "subcarriers":
-                values["n_subcarriers"] = int(finite_float(value))
-            elif key == "frame_count":
-                values["frame_count"] = int(finite_float(value))
-            elif key == "seed":
-                values["seed"] = int(finite_float(value))
+            if key in _INT_KEYS:
+                values[_INT_KEYS[key]] = _integer(value)
             elif key == "bandwidth_hz":
                 values["bandwidth_hz"] = finite_float(value)
             elif key == "snr_db":

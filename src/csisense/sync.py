@@ -3,6 +3,7 @@ against a zero-delay reference, delay compensation, and frame phase
 alignment that removes quantized phase jumps while keeping small drifts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -70,50 +71,41 @@ def reference_time_sequence(n_subcarriers: int) -> np.ndarray:
     return np.fft.ifft(np.ones(n_subcarriers))
 
 
-def _ordered_lags(half_width: int) -> list:
-    # Ties resolve toward smaller |lag|, negative before positive.
-    return sorted(range(-half_width, half_width + 1),
-                  key=lambda l: (abs(l), l > 0))
+def _best_lag(reference: np.ndarray, received: np.ndarray, center: int,
+              half_width: int) -> int:
+    """The lag within ``half_width`` of ``center`` where |C(l)| peaks.
 
-
-def _lag_magnitudes(reference: np.ndarray, received: np.ndarray,
-                    lags: list) -> np.ndarray:
-    """|C(l)| per candidate lag, summed over received rows.
-
-    C(l) = sum_s conj(reference[s]) * received[s + l], circular in s.
+    C(l) = sum_s conj(reference[s]) * received[s + l], circular in s. Ties
+    resolve toward the lag nearest ``center``, the smaller one first.
     """
-    rows = np.atleast_2d(received)
-    mags = np.empty(len(lags))
-    for i, lag in enumerate(lags):
-        shifted = np.roll(rows, -lag, axis=-1)
-        mags[i] = np.sum(np.abs(shifted @ np.conj(reference)))
-    return mags
+    offsets = sorted(range(-half_width, half_width + 1),
+                     key=lambda off: (abs(off), off > 0))
+    conj_reference = np.conj(reference)
+    mags = np.abs([np.roll(received, -(center + off)) @ conj_reference
+                   for off in offsets])
+    best = int(np.argmax(mags))
+    if mags[best] == 0.0:
+        raise ValueError("no correlation peak: received sequence is all zero")
+    return center + offsets[best]
 
 
 def coarse_delay(reference_time: np.ndarray, received_time: np.ndarray,
                  max_lag: int) -> int:
     """Integer delay of the strongest return, searched over [-max_lag, max_lag].
 
-    Both inputs are sample-domain sequences; ``received_time`` may be a
-    frame stack, in which case correlation magnitudes are summed over
-    frames before the peak search.
+    Both inputs are sample-domain sequences of one frame.
     """
-    n = np.atleast_2d(received_time).shape[-1]
+    n = len(received_time)
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must be in [1, {n})")
-    lags = _ordered_lags(int(max_lag))
-    mags = _lag_magnitudes(reference_time, received_time, lags)
-    if np.max(mags) == 0.0:
-        raise ValueError("no correlation peak: received sequence is all zero")
-    return lags[int(np.argmax(mags))]
+    return _best_lag(reference_time, received_time, 0, int(max_lag))
 
 
 def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Spectral zero-padding interpolation for sequences whose spectrum
     occupies DFT bins 0..N-1 (the inverse-DFT-of-a-symbol-grid convention)."""
-    spectrum = np.fft.fft(x, axis=-1)
-    pad = [(0, 0)] * (spectrum.ndim - 1) + [(0, (factor - 1) * x.shape[-1])]
-    return np.fft.ifft(np.pad(spectrum, pad), axis=-1) * factor
+    spectrum = np.pad(np.fft.fft(x), (0, (factor - 1) * len(x)))
+    return np.fft.ifft(spectrum) * factor
 
 
 def fine_delay(reference_time: np.ndarray, received_time: np.ndarray,
@@ -124,21 +116,14 @@ def fine_delay(reference_time: np.ndarray, received_time: np.ndarray,
     if upsample_factor == 1:
         return 0.0
     u = int(upsample_factor)
-    ref_up = _upsample(reference_time, u)
-    recv_up = _upsample(received_time, u)
-    offsets = _ordered_lags(u)
-    lags = [coarse_lag * u + off for off in offsets]
-    mags = _lag_magnitudes(ref_up, recv_up, lags)
-    if np.max(mags) == 0.0:
-        raise ValueError("no correlation peak: received sequence is all zero")
-    return offsets[int(np.argmax(mags))] / u
+    lag = _best_lag(_upsample(reference_time, u), _upsample(received_time, u),
+                    coarse_lag * u, u)
+    return (lag - coarse_lag * u) / u
 
 
 def compensate_delay(grid: np.ndarray, lag_samples: float) -> np.ndarray:
     """Undo a sample-delay offset: counter-rotate each subcarrier's phase so
     the zero-delay return lands on range bin 0."""
-    if lag_samples == 0.0:
-        return grid.copy()
     n = np.arange(grid.shape[-1])
     return grid * np.exp(2j * np.pi * n * lag_samples / grid.shape[-1])
 
@@ -149,14 +134,16 @@ def _wrap(angle: float) -> float:
     return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
 
 
-def frame_phase(grid: np.ndarray, frame: int) -> float:
-    """Average phase of one frame: angle of the complex row mean, (-pi, pi]."""
-    row = np.atleast_2d(grid)[frame]
-    mean = np.mean(row)
-    scale = np.max(np.abs(row))
-    if scale == 0.0 or np.abs(mean) < 1e-12 * scale:
-        raise ValueError(f"frame {frame} has zero mean; phase undefined")
-    return float(np.angle(mean))
+def frame_phases(grid: np.ndarray) -> np.ndarray:
+    """Average phase of every frame: angle of its complex row mean, (-pi, pi].
+
+    NaN where the phase is undefined: the row's mean vanishes against its
+    largest magnitude (below 1e-12 of it), or the row is all zero.
+    """
+    means = np.mean(grid, axis=-1)
+    scale = np.max(np.abs(grid), axis=-1)
+    undefined = (scale == 0.0) | (np.abs(means) < 1e-12 * scale)
+    return np.where(undefined, np.nan, np.angle(means))
 
 
 def _circular_mean(angles: np.ndarray) -> float:
@@ -176,38 +163,30 @@ def align_phases(grid: np.ndarray,
     the nearest multiple of ``phase_step_rad`` and the whole frame is
     counter-rotated by that multiple. Deviations below half a step are left
     untouched, so genuine Doppler progression and small drifts survive.
-    Magnitudes are never altered.
+    A frame whose phase is undefined (see ``frame_phases``) takes the
+    previous corrected phase, or 0 for frame 0. Magnitudes are never altered.
     """
     p = params if params is not None else SyncParams()
-    out = np.array(grid, dtype=complex, copy=True)
-    n_frames = out.shape[0]
+    grid = np.asarray(grid, dtype=complex)
     delta = p.phase_step_rad
-
-    def observed(index: int, fallback: float) -> float:
-        try:
-            return frame_phase(out, index)
-        except ValueError:
-            return fallback
-
-    theta0 = observed(0, 0.0)
-    raw = [theta0]
-    corrected = [theta0]
-    fixes = [0.0]
-    refs = [theta0]
-    for m in range(1, n_frames):
-        theta = observed(m, corrected[-1])
+    # A fix never changes its own frame's observed phase, so every phase
+    # can be measured before any fix is applied.
+    observed = frame_phases(grid).tolist()
+    theta0 = 0.0 if math.isnan(observed[0]) else observed[0]
+    raw, corrected, fixes, refs = [theta0], [theta0], [0.0], [theta0]
+    for theta in observed[1:]:
+        if math.isnan(theta):
+            theta = corrected[-1]
         reference = _circular_mean(np.array(corrected[-p.history_len:]))
-        fix = np.round(_wrap(reference - theta) / delta) * delta
-        if fix != 0.0:
-            out[m] *= np.exp(1j * fix)
+        fix = float(np.round(_wrap(reference - theta) / delta) * delta)
         raw.append(theta)
         corrected.append(_wrap(theta + fix))
-        fixes.append(float(fix))
+        fixes.append(fix)
         refs.append(reference)
     report = SyncReport(frame_phases_rad=np.array(raw),
                         corrections_rad=np.array(fixes),
                         references_rad=np.array(refs))
-    return out, report
+    return grid * np.exp(1j * report.corrections_rad)[:, None], report
 
 
 def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None

@@ -36,8 +36,8 @@ class WaveformConfig:
             raise ValueError("n_frames must be >= 2")
         for name in ("subcarrier_spacing_hz", "frame_interval_s",
                      "carrier_freq_hz", "bandwidth_hz", "wave_speed_mps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         expected = self.n_subcarriers * self.subcarrier_spacing_hz
         if abs(self.bandwidth_hz - expected) > _BANDWIDTH_RTOL * expected:
             raise ValueError(

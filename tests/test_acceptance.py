@@ -12,7 +12,7 @@ from csisense.channel import (Impairments, Scene, Target, csi_divide,
 from csisense.cli import main
 from csisense.rdmap import doppler_time_profile, range_doppler, window_maps
 from csisense.sic import remove_dc
-from csisense.sync import SyncParams, align_phases, frame_phase, synchronize
+from csisense.sync import SyncParams, align_phases, frame_phases, synchronize
 from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
                                make_config, range_resolution,
                                unambiguous_limits)
@@ -103,7 +103,7 @@ def test_criterion_4_phase_alignment():
     grid = csi_divide(simulate_capture(cfg, scene, symbols), symbols)
     params = SyncParams(phase_step_rad=delta)
     aligned, _ = align_phases(grid, params)
-    phases = np.array([frame_phase(aligned, m) for m in range(cfg.n_frames)])
+    phases = frame_phases(aligned)
     diff_std = float(np.std(np.angle(np.exp(1j * np.diff(phases)))))
     twice, second = align_phases(aligned, params)
     idempotent = (np.max(np.abs(twice - aligned)) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -70,6 +71,15 @@ def test_calc_invalid_flag_exits_3(capsys):
     assert main(["calc", "--bandwidth", "not-a-number"]) == 3
     assert main(["frobnicate"]) == 3
     assert main(["calc", "--bandwidth", "-5"]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--carrier-freq", "--frame-interval",
+                                  "--bandwidth", "--spacing", "--wave-speed",
+                                  "--snr-db"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_calc_non_finite_value_exits_3(capsys, flag, value):
+    assert main(["calc", f"{flag}={value}"]) == 3
+    assert "=" not in capsys.readouterr().out
 
 
 def test_simulate_writes_capture_and_truth(workdir):
@@ -299,6 +309,18 @@ def test_eval_malformed_detections_exits_2(workdir, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"t": 0.1}\n')
     assert main(["eval", str(bad), str(workdir / "cap.truth.csv")]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("range_m", "NaN"), ("velocity_mps", "-Infinity"), ("t", "Infinity")])
+def test_eval_non_finite_detection_exits_2(workdir, tmp_path, capsys, field,
+                                           value):
+    lines = (workdir / "det.jsonl").read_text().splitlines()
+    lines[1] = re.sub(f'"{field}": [^,}}]+', f'"{field}": {value}', lines[1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", str(bad), str(workdir / "cap.truth.csv")]) == 2
+    assert "detection 1 has a non-finite" in capsys.readouterr().err
 
 
 def test_process_window_longer_than_capture_exits_3(workdir):

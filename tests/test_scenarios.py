@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,8 @@ VALID_LINES = {
     ("phase_jump_prob", "nan"), ("phase_drift_std_rad", "inf"),
     ("path", "0, 1.0; 1, nan"), ("path", "0, 1.0, inf"),
     ("clutter", "2.0, 0.5; inf, 0.5"), ("clutter", "2.0, nan"),
+    ("subcarriers", "64.9"), ("frame_count", "40.7"), ("seed", "1.5"),
+    ("frame_count", "1e-3"),
 ])
 def test_parse_rejects_non_finite_values(key, bad):
     lines = dict(VALID_LINES)
@@ -57,9 +61,21 @@ def test_parse_rejects_non_finite_values(key, bad):
     text = "".join(f"{k} = {v}\n" for k, v in lines.items())
     text += f"{key} = {bad}\n"
     lineno = text.count("\n")
+    integral = key in ("subcarriers", "frame_count", "seed")
+    problem = ("an integer" if integral and math.isfinite(float(bad))
+               else "a finite number")
     with pytest.raises(ScenarioError,
-                       match=f"line {lineno}: .* is not a finite number"):
+                       match=f"line {lineno}: .* is not {problem}"):
         parse_scenario(text)
+
+
+def test_parse_accepts_integral_float_notation():
+    lines = dict(VALID_LINES, subcarriers="1.6e1", frame_count="4.0")
+    sc = parse_scenario("".join(f"{k} = {v}\n" for k, v in lines.items())
+                        + "seed = 1e3\n")
+    assert (sc.n_subcarriers, sc.frame_count, sc.seed) == (16, 4, 1000)
+    assert all(type(v) is int for v in (sc.n_subcarriers, sc.frame_count,
+                                         sc.seed))
 
 
 def test_parse_bandwidth_derives_spacing():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from csisense import sync
 from csisense.channel import Impairments, Scene, Target, csi_divide, simulate_capture
 from csisense.sync import (SyncParams, align_phases, coarse_delay,
-                           compensate_delay, fine_delay, frame_phase,
+                           compensate_delay, fine_delay, frame_phases,
                            reference_time_sequence, synchronize, time_domain)
 from csisense.waveform import generate_ltf_symbols, make_config
 
@@ -123,9 +127,9 @@ def test_compensated_coupling_sits_at_bin_zero():
 
 def test_frame_phase_simple_rows():
     grid = np.ones((2, 8), dtype=complex)
-    assert frame_phase(grid, 0) == 0.0
+    assert frame_phases(grid)[0] == 0.0
     grid2 = np.full((2, 8), np.exp(1j * np.pi / 4))
-    assert frame_phase(grid2, 1) == pytest.approx(np.pi / 4, rel=1e-12)
+    assert frame_phases(grid2)[1] == pytest.approx(np.pi / 4, rel=1e-12)
 
 
 def test_frame_phase_half_turn_ramp_matches_geometric_sum():
@@ -134,15 +138,14 @@ def test_frame_phase_half_turn_ramp_matches_geometric_sum():
     grid = np.tile(row, (2, 1))
     # closed form: mean = (1/N) (1 - e^{-j pi}) / (1 - e^{-j pi/N})
     mean = (2.0 / n) / (1.0 - np.exp(-1j * np.pi / n))
-    assert frame_phase(grid, 0) == pytest.approx(np.angle(mean), rel=1e-12)
+    assert frame_phases(grid)[0] == pytest.approx(np.angle(mean), rel=1e-12)
 
 
 def test_frame_phase_zero_mean_rejected():
     n = 8
     row = np.exp(2j * np.pi * np.arange(n) / n)  # full turn, zero mean
     grid = np.tile(row, (2, 1))
-    with pytest.raises(ValueError, match="zero mean"):
-        frame_phase(grid, 0)
+    assert np.isnan(frame_phases(grid)[0])
 
 
 def test_align_cancels_exact_multiples():
@@ -152,7 +155,7 @@ def test_align_cancels_exact_multiples():
     aligned, report = align_phases(
         grid, SyncParams(phase_step_rad=np.pi, history_len=1))
     for m in range(4):
-        assert frame_phase(aligned, m) == pytest.approx(0.0, abs=1e-12)
+        assert frame_phases(aligned)[m] == pytest.approx(0.0, abs=1e-12)
     # only the pi-offset frames needed a correction
     assert np.abs(report.corrections_rad[1]) == np.pi
     assert report.corrections_rad[2] == 0.0
@@ -174,7 +177,7 @@ def test_align_suppresses_injected_jumps():
     d, _ = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.2,
                             drift=drift, seed=5)
     aligned, _ = align_phases(d, SyncParams(phase_step_rad=np.pi / 2))
-    phases = np.array([frame_phase(aligned, m) for m in range(cfg.n_frames)])
+    phases = frame_phases(aligned)
     diffs = np.angle(np.exp(1j * np.diff(phases)))
     assert np.std(diffs) <= 3.0 * drift
 
@@ -239,3 +242,148 @@ def test_coarse_delay_tie_breaks_toward_smaller_lag():
     # A constant sequence correlates identically at every lag.
     x = np.ones(16, dtype=complex)
     assert coarse_delay(x, x, 4) == 0
+
+
+# The per-frame phase loop and the frame-stack lag search that sync used to
+# run, kept as references for bit-exact comparison.
+def _reference_frame_phase(grid, frame):
+    row = np.atleast_2d(grid)[frame]
+    mean = np.mean(row)
+    scale = np.max(np.abs(row))
+    if scale == 0.0 or np.abs(mean) < 1e-12 * scale:
+        raise ValueError(f"frame {frame} has zero mean; phase undefined")
+    return float(np.angle(mean))
+
+
+def _reference_align_phases(grid, p):
+    out = np.array(grid, dtype=complex, copy=True)
+    n_frames = out.shape[0]
+    delta = p.phase_step_rad
+
+    def observed(index, fallback):
+        try:
+            return _reference_frame_phase(out, index)
+        except ValueError:
+            return fallback
+
+    theta0 = observed(0, 0.0)
+    raw = [theta0]
+    corrected = [theta0]
+    fixes = [0.0]
+    refs = [theta0]
+    for m in range(1, n_frames):
+        theta = observed(m, corrected[-1])
+        reference = sync._circular_mean(np.array(corrected[-p.history_len:]))
+        fix = np.round(sync._wrap(reference - theta) / delta) * delta
+        if fix != 0.0:
+            out[m] *= np.exp(1j * fix)
+        raw.append(theta)
+        corrected.append(sync._wrap(theta + fix))
+        fixes.append(float(fix))
+        refs.append(reference)
+    return out, (np.array(raw), np.array(fixes), np.array(refs))
+
+
+def _reference_lag_magnitudes(reference, received, lags):
+    rows = np.atleast_2d(received)
+    mags = np.empty(len(lags))
+    for i, lag in enumerate(lags):
+        shifted = np.roll(rows, -lag, axis=-1)
+        mags[i] = np.sum(np.abs(shifted @ np.conj(reference)))
+    return mags
+
+
+def _reference_upsample(x, factor):
+    spectrum = np.fft.fft(x, axis=-1)
+    pad = [(0, 0)] * (spectrum.ndim - 1) + [(0, (factor - 1) * x.shape[-1])]
+    return np.fft.ifft(np.pad(spectrum, pad), axis=-1) * factor
+
+
+def _reference_ordered_lags(half_width):
+    return sorted(range(-half_width, half_width + 1),
+                  key=lambda l: (abs(l), l > 0))
+
+
+def _reference_delays(reference, received, max_lag, u):
+    """(coarse, fine) by the reference search, or None without a peak."""
+    lags = _reference_ordered_lags(max_lag)
+    mags = _reference_lag_magnitudes(reference, received, lags)
+    if np.max(mags) == 0.0:
+        return None
+    coarse = lags[int(np.argmax(mags))]
+    if u == 1:
+        return coarse, 0.0
+    offsets = _reference_ordered_lags(u)
+    mags = _reference_lag_magnitudes(
+        _reference_upsample(reference, u), _reference_upsample(received, u),
+        [coarse * u + off for off in offsets])
+    return coarse, offsets[int(np.argmax(mags))] / u
+
+
+@st.composite
+def _frame_grids(draw):
+    n_frames, n = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):  # small integers: exact zeros and exact ties
+        re, im = rng.integers(-3, 4, size=(2, n_frames, n)).astype(float)
+    else:
+        re, im = rng.standard_normal((2, n_frames, n))
+    kinds = np.array(draw(st.lists(
+        st.sampled_from(["drawn", "zero", "zero-mean", "near-zero-mean"]),
+        min_size=n_frames, max_size=n_frames)))
+    half = n // 2
+    zero_mean = np.isin(kinds, ["zero-mean", "near-zero-mean"])
+    for x in (re, im):
+        # Every value paired with its negative (and a trailing zero for odd
+        # n): the row mean is exactly zero. Adding 0.0 turns -0.0 into +0.0:
+        # a fix of 0 multiplies its frame by exp(0j) = 1+0j, which keeps
+        # every value but not the sign of a zero.
+        x[zero_mean, half:2 * half] = -x[zero_mean, :half] + 0.0
+        x[zero_mean, 2 * half:] = 0.0
+        x[kinds == "zero"] = 0.0
+    grid = re + 1j * im
+    # A mean of 1e-14 to 1e-8 of the row's largest magnitude straddles the
+    # 1e-12 threshold below which the frame phase is undefined.
+    for m in np.flatnonzero(kinds == "near-zero-mean"):
+        grid[m, 0] += n * 10.0 ** rng.uniform(-14, -8) * max(
+            np.max(np.abs(grid[m])), 1.0)
+    return grid.astype(np.complex64) if draw(st.booleans()) else grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_frame_grids(), history_len=st.integers(1, 6),
+       delta=st.sampled_from([np.pi / 3, np.pi / 2, np.pi]))
+def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
+    params = SyncParams(phase_step_rad=delta, history_len=history_len)
+    expected, expected_arrays = _reference_align_phases(grid, params)
+    aligned, report = align_phases(grid, params)
+    assert aligned.tobytes() == expected.tobytes()
+    arrays = (report.frame_phases_rad, report.corrections_rad,
+              report.references_rad)
+    for got, want in zip(arrays, expected_arrays):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(4, 48), u=st.integers(1, 8),
+       kind=st.sampled_from(["drawn", "constant", "pair"]))
+def test_delays_match_reference_search(data, n, u, kind):
+    max_lag = data.draw(st.integers(1, n - 1))
+    elements = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
+                                  allow_infinity=False)
+    if kind == "pair":  # equal peaks at -k and +k
+        k = data.draw(st.integers(1, min(max_lag, n // 2)))
+        reference = np.eye(n, dtype=complex)[0]
+        received = np.eye(n, dtype=complex)[k] + np.eye(n, dtype=complex)[-k]
+    else:
+        values = (elements.map(lambda value: np.full(n, value))
+                  if kind == "constant"  # every lag ties
+                  else hnp.arrays(complex, n, elements=elements))
+        reference, received = data.draw(values), data.draw(values)
+    expected = _reference_delays(reference, received, max_lag, u)
+    if expected is None:
+        with pytest.raises(ValueError, match="no correlation peak"):
+            coarse_delay(reference, received, max_lag)
+        return
+    coarse = coarse_delay(reference, received, max_lag)
+    assert (coarse, fine_delay(reference, received, coarse, u)) == expected

@@ -42,6 +42,10 @@ def test_make_config_bandwidth_only():
     dict(n_subcarriers=1), dict(n_frames=1),
     dict(subcarrier_spacing_hz=-1.0), dict(frame_interval_s=0.0),
     dict(carrier_freq_hz=-6.3e9),
+    dict(subcarrier_spacing_hz=float("nan")), dict(frame_interval_s=np.inf),
+    dict(carrier_freq_hz=float("nan")), dict(carrier_freq_hz=np.inf),
+    dict(bandwidth_hz=float("nan")), dict(bandwidth_hz=np.inf),
+    dict(wave_speed_mps=float("nan")), dict(wave_speed_mps=np.inf),
 ])
 def test_make_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
