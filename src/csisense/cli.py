@@ -126,8 +126,13 @@ def cmd_calc(args) -> int:
     if args.carrier_freq is not None:
         params["carrier_freq_hz"] = args.carrier_freq
     cfg = make_config(wave_speed_mps=args.wave_speed, **params)
-    snr_linear = (10.0 ** (args.snr_db / 10.0)
-                  if args.snr_db is not None else None)
+    snr_linear = None
+    if args.snr_db is not None:
+        try:
+            snr_linear = 10.0 ** (args.snr_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"--snr-db {args.snr_db} has no finite linear "
+                             "value") from None
     report = resolution_report(cfg, snr_linear)
     print(f"range_resolution_m = {report.range_resolution_m!r}")
     print(f"velocity_resolution_mps = {report.velocity_resolution_mps!r}")

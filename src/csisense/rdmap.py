@@ -2,6 +2,7 @@
 sliding-window tracking over long captures."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -113,6 +114,16 @@ def _axis_window(kind: str, length: int) -> np.ndarray:
     raise ValueError(f"unknown window function {kind!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _taper(window_fn: str, m_frames: int, n_sub: int) -> np.ndarray:
+    """Read-only frame-by-subcarrier window; cached because every map of a
+    sliding-window run has the same shape."""
+    taper = np.outer(_axis_window(window_fn, m_frames),
+                     _axis_window(window_fn, n_sub))
+    taper.flags.writeable = False
+    return taper
+
+
 def range_doppler(grid: np.ndarray, cfg: WaveformConfig,
                   window_fn: str = "rect",
                   timestamp_s: float = 0.0) -> RangeDopplerMap:
@@ -127,8 +138,7 @@ def range_doppler(grid: np.ndarray, cfg: WaveformConfig,
     if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ValueError("need a 2-D grid of at least 2x2")
     m_frames, n_sub = grid.shape
-    tapered = grid * np.outer(_axis_window(window_fn, m_frames),
-                              _axis_window(window_fn, n_sub))
+    tapered = grid * _taper(window_fn, m_frames, n_sub)
     # The range transform is the unnormalized sum, so an on-bin unit
     # exponential peaks at magnitude M*N under a rectangular window.
     range_profiles = np.fft.ifft(tapered, axis=1) * n_sub
@@ -187,39 +197,65 @@ def _local_maxima(mag: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free array from one partition: numpy's own
+    median partitions at two more positions to average and check for NaN."""
+    flat = values.ravel()
+    k = flat.size // 2
+    part = np.partition(flat, k)
+    if flat.size % 2:
+        return float(part[k])
+    return float((np.max(part[:k]) + part[k]) / 2.0)
+
+
 def detect(rdm: RangeDopplerMap,
            threshold_db: float = DEFAULT_THRESHOLD_DB,
            max_targets: int = 5) -> List[Detection]:
     """Greedy local-maxima picking above the noise floor.
 
     The floor is the median map magnitude; candidates must exceed it by
-    ``threshold_db``. Picks descend by power, each suppressing its 3x3
-    neighborhood, and are refined by sub-bin interpolation. Reported power
-    is dB above the floor.
+    ``threshold_db``. The first pick is the map's global maximum (the
+    first one in row-major order on a tie); later picks descend by power
+    over the local maxima, each pick suppressing its 3x3 neighborhood.
+    Picks are refined by sub-bin interpolation. Reported power is dB above
+    the floor. A map holding NaN yields no picks.
     """
     mag = rdm.values
-    floor = float(np.median(mag))
+    flat = int(np.argmax(mag))
+    peak = mag.flat[flat]
+    # A NaN peak fails this too: argmax returns the first NaN.
+    if max_targets < 1 or not peak > 0.0:
+        return []
+    floor = _median(mag)
     if floor <= 0.0:
-        floor = float(np.max(mag)) * 1e-9
+        floor = float(peak) * 1e-9
     if floor <= 0.0:
         return []
     threshold = floor * 10.0 ** (threshold_db / 20.0)
-    candidates = _local_maxima(mag) & (mag >= threshold) & (mag > 0)
-    available = candidates.copy()
+    # The global maximum is a local maximum, so if it misses the threshold
+    # no cell passes.
+    if not peak >= threshold:
+        return []
     floor_db = 20.0 * math.log10(floor)
+    available = None
     picks: List[Detection] = []
-    while len(picks) < max_targets and np.any(available):
-        flat = int(np.argmax(np.where(available, mag, -np.inf)))
+    while True:
         row, col = flat // rdm.n_range, flat % rdm.n_range
         range_m, velocity, power_db = estimate_peak(rdm, (row, col))
         picks.append(Detection(
             time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
             power_db=power_db - floor_db, bin_l=col,
             bin_p=row - rdm.n_doppler // 2))
+        if len(picks) == max_targets:
+            return picks
+        if available is None:
+            available = _local_maxima(mag) & (mag >= threshold) & (mag > 0)
         rows = [(row + dr) % rdm.n_doppler for dr in (-1, 0, 1)]
         cols = [(col + dc) % rdm.n_range for dc in (-1, 0, 1)]
         available[np.ix_(rows, cols)] = False
-    return picks
+        if not np.any(available):
+            return picks
+        flat = int(np.argmax(np.where(available, mag, -np.inf)))
 
 
 def window_starts(n_frames: int, window: int, stride: int) -> range:

@@ -72,8 +72,9 @@ def reference_time_sequence(n_subcarriers: int) -> np.ndarray:
 
 
 def _best_lag(reference: np.ndarray, received: np.ndarray, center: int,
-              half_width: int) -> int:
-    """The lag within ``half_width`` of ``center`` where |C(l)| peaks.
+              half_width: int) -> Tuple[int, float]:
+    """The lag within ``half_width`` of ``center`` where |C(l)| peaks, and
+    that peak magnitude.
 
     C(l) = sum_s conj(reference[s]) * received[s + l], circular in s. Ties
     resolve toward the lag nearest ``center``, the smaller one first.
@@ -84,9 +85,7 @@ def _best_lag(reference: np.ndarray, received: np.ndarray, center: int,
     mags = np.abs([np.roll(received, -(center + off)) @ conj_reference
                    for off in offsets])
     best = int(np.argmax(mags))
-    if mags[best] == 0.0:
-        raise ValueError("no correlation peak: received sequence is all zero")
-    return center + offsets[best]
+    return center + offsets[best], float(mags[best])
 
 
 def coarse_delay(reference_time: np.ndarray, received_time: np.ndarray,
@@ -98,7 +97,10 @@ def coarse_delay(reference_time: np.ndarray, received_time: np.ndarray,
     n = len(received_time)
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must be in [1, {n})")
-    return _best_lag(reference_time, received_time, 0, int(max_lag))
+    lag, peak = _best_lag(reference_time, received_time, 0, int(max_lag))
+    if peak == 0.0:
+        raise ValueError("no correlation peak: received sequence is all zero")
+    return lag
 
 
 def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
@@ -116,8 +118,10 @@ def fine_delay(reference_time: np.ndarray, received_time: np.ndarray,
     if upsample_factor == 1:
         return 0.0
     u = int(upsample_factor)
-    lag = _best_lag(_upsample(reference_time, u), _upsample(received_time, u),
-                    coarse_lag * u, u)
+    # Upsampling can flush a subnormal sequence to zero; with no fine peak
+    # the coarse lag stands (the search then returns offset 0).
+    lag, _ = _best_lag(_upsample(reference_time, u),
+                       _upsample(received_time, u), coarse_lag * u, u)
     return (lag - coarse_lag * u) / u
 
 

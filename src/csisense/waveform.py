@@ -43,6 +43,16 @@ class WaveformConfig:
             raise ValueError(
                 f"inconsistent bandwidth: {self.bandwidth_hz} Hz vs "
                 f"n_subcarriers * spacing = {expected} Hz")
+        # Finite inputs can still overflow or underflow the capability
+        # numbers (e.g. a 1e-320 s frame interval gives an infinite span).
+        max_range, velocity_span = unambiguous_limits(self)
+        for name, value in (("range resolution", range_resolution(self)),
+                            ("velocity resolution", doppler_resolution(self)),
+                            ("max range", max_range),
+                            ("velocity span", velocity_span)):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} is {value!r}: not positive and finite")
 
     @property
     def sample_interval_s(self) -> float:
@@ -130,8 +140,9 @@ def range_accuracy(cfg: WaveformConfig, snr_linear: float) -> float:
 
     Valid in the high-SNR regime (snr_linear >> 1).
     """
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
+    if not 0 < 2.0 * snr_linear < math.inf:
+        raise ValueError("snr_linear must be positive, with 2 * snr_linear "
+                         "finite")
     return range_resolution(cfg) / math.sqrt(2.0 * snr_linear)
 
 

@@ -82,6 +82,19 @@ def test_calc_non_finite_value_exits_3(capsys, flag, value):
     assert "=" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--snr-db", "4000"], "--snr-db 4000.0 has no finite linear value"),
+    (["--snr-db", "3080"], "2 * snr_linear finite"),
+    (["--frames", "3", "--frame-interval", "1e-320"],
+     "velocity resolution is inf"),
+])
+def test_calc_unrepresentable_value_exits_3(capsys, argv, message):
+    assert main(["calc", *argv]) == 3
+    captured = capsys.readouterr()
+    assert "=" not in captured.out
+    assert message in captured.err
+
+
 def test_simulate_writes_capture_and_truth(workdir):
     assert (workdir / "cap.bin").stat().st_size == 38 + 48 * 64 * 8
     truth_lines = (workdir / "cap.truth.csv").read_text().splitlines()

@@ -1,3 +1,6 @@
+import math
+from typing import List
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 from csisense.channel import (Impairments, Scene, Target, csi_divide,
                               oracle_spectrum, simulate_capture,
                               simulate_trajectory)
-from csisense.rdmap import (RangeDopplerMap, _local_maxima, _parabolic_offset,
-                            detect, doppler_time_profile, estimate_peak,
-                            range_doppler, track, window_maps)
+from csisense.rdmap import (Detection, RangeDopplerMap, _local_maxima, _median,
+                            _parabolic_offset, detect, doppler_time_profile,
+                            estimate_peak, range_doppler, track, window_maps)
 from csisense.sic import remove_dc
 from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
                                make_config, range_resolution,
@@ -271,6 +274,70 @@ def test_detect_test1_window_velocity_negative():
     picks = detect(range_doppler(d, cfg, window_fn="hann"), max_targets=1)
     assert len(picks) == 1
     assert picks[0].velocity_mps < 0
+
+
+def reference_detect(rdm: RangeDopplerMap,
+                     threshold_db: float = 12.0,
+                     max_targets: int = 5) -> List[Detection]:
+    """``detect`` as it was: the ``np.median`` floor, and every pick, the
+    first included, taken from the masked local maxima."""
+    mag = rdm.values
+    floor = float(np.median(mag))
+    if floor <= 0.0:
+        floor = float(np.max(mag)) * 1e-9
+    if floor <= 0.0:
+        return []
+    threshold = floor * 10.0 ** (threshold_db / 20.0)
+    candidates = _local_maxima(mag) & (mag >= threshold) & (mag > 0)
+    available = candidates.copy()
+    floor_db = 20.0 * math.log10(floor)
+    picks: List[Detection] = []
+    while len(picks) < max_targets and np.any(available):
+        flat = int(np.argmax(np.where(available, mag, -np.inf)))
+        row, col = flat // rdm.n_range, flat % rdm.n_range
+        range_m, velocity, power_db = estimate_peak(rdm, (row, col))
+        picks.append(Detection(
+            time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
+            power_db=power_db - floor_db, bin_l=col,
+            bin_p=row - rdm.n_doppler // 2))
+        rows = [(row + dr) % rdm.n_doppler for dr in (-1, 0, 1)]
+        cols = [(col + dc) % rdm.n_range for dc in (-1, 0, 1)]
+        available[np.ix_(rows, cols)] = False
+    return picks
+
+
+@st.composite
+def detection_maps(draw):
+    """Small-integer maps: few levels (ties, plateaus, zero medians), many
+    levels, or one constant (all zero included); sometimes with a NaN."""
+    shape = draw(MAP_SHAPES)
+    top = draw(st.sampled_from([0, 3, 1000]))
+    if top == 0:
+        mag = np.full(shape, float(draw(st.integers(0, 3))))
+    else:
+        mag = draw(hnp.arrays(np.int64, shape,
+                              elements=st.integers(0, top))).astype(float)
+    if draw(st.booleans()) and draw(st.booleans()):
+        mag.flat[draw(st.integers(0, mag.size - 1))] = np.nan
+    return mag
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_maps(), st.floats(0.0, 100.0), st.integers(0, 5))
+def test_detect_matches_greedy_reference(mag, threshold_db, max_targets):
+    rdm = RangeDopplerMap(values=mag, range_scale_m=0.3,
+                          velocity_scale_mps=0.03, timestamp_s=1.5)
+    assert detect(rdm, threshold_db, max_targets) == reference_detect(
+        rdm, threshold_db, max_targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float64, MAP_SHAPES, elements=st.one_of(
+    st.integers(0, 3).map(float), st.floats(0.0, 1e300))))
+def test_median_is_numpy_median_bit_for_bit(values):
+    # Shapes up to 7x7 give odd and even sizes.
+    assert np.float64(_median(values)).tobytes() == \
+        np.median(values).tobytes()
 
 
 def path_capture(cfg, frames, path, **kwargs):

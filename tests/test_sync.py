@@ -63,6 +63,14 @@ def test_coarse_delay_all_zero_input():
         coarse_delay(ref, np.zeros(32, dtype=complex), 8)
 
 
+def test_fine_delay_keeps_coarse_lag_when_upsampling_underflows():
+    # The smallest subnormal correlates above zero, but its upsampled copy
+    # is all zero.
+    ref, recv = np.ones(4, dtype=complex), np.full(4, 5e-324 + 0j)
+    assert coarse_delay(ref, recv, 1) == 0
+    assert fine_delay(ref, recv, 0, 2) == 0.0
+
+
 def test_fine_delay_quarter_sample():
     cfg = cfg_of()
     d, _ = impaired_capture(cfg, offset=0.25)

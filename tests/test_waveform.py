@@ -46,6 +46,10 @@ def test_make_config_bandwidth_only():
     dict(carrier_freq_hz=float("nan")), dict(carrier_freq_hz=np.inf),
     dict(bandwidth_hz=float("nan")), dict(bandwidth_hz=np.inf),
     dict(wave_speed_mps=float("nan")), dict(wave_speed_mps=np.inf),
+    # finite inputs whose capability numbers overflow or underflow
+    dict(frame_interval_s=1e-320),
+    dict(frame_interval_s=1e300, carrier_freq_hz=1e300),
+    dict(wave_speed_mps=1e-320),
 ])
 def test_make_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
@@ -149,8 +153,9 @@ def test_range_accuracy_values():
                                                      rel=1e-12)
     assert range_accuracy(cfg, 400.0) == pytest.approx(
         range_accuracy(cfg, 100.0) / 2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        range_accuracy(cfg, 0.0)
+    for snr_linear in (0.0, 1e308, np.inf, float("nan")):
+        with pytest.raises(ValueError):
+            range_accuracy(cfg, snr_linear)
 
 
 def test_doppler_resolution_equivalent_forms():
