@@ -3,8 +3,8 @@ time-phase synchronization, self-interference cancellation, and 2D
 range-Doppler estimation."""
 
 from .capture_io import (CaptureFormatError, CaptureHeader, Trajectory,
-                         read_capture, read_capture_array, read_ground_truth,
-                         write_capture, write_ground_truth)
+                         read_capture_array, read_ground_truth, write_capture,
+                         write_ground_truth)
 from .channel import (Impairments, Scene, Target, csi_divide, oracle_spectrum,
                       simulate_capture, simulate_trajectory,
                       trajectory_samples)
@@ -24,17 +24,16 @@ from .waveform import (SPEED_OF_LIGHT, ResolutionReport, WaveformConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaptureFormatError", "CaptureHeader", "Trajectory", "read_capture",
-    "read_capture_array", "read_ground_truth", "write_capture",
-    "write_ground_truth", "Impairments", "Scene", "Target", "csi_divide",
-    "oracle_spectrum", "simulate_capture", "simulate_trajectory",
-    "trajectory_samples", "Detection", "DopplerTimeProfile",
-    "RangeDopplerMap", "detect", "doppler_time_profile", "estimate_peak",
-    "range_doppler", "track", "window_maps", "Scenario", "ScenarioError",
-    "load_scenario", "simulate_scenario", "remove_dc", "SyncParams",
-    "SyncReport", "align_phases", "coarse_delay", "compensate_delay",
-    "fine_delay", "frame_phases", "synchronize", "time_domain",
-    "SPEED_OF_LIGHT", "ResolutionReport", "WaveformConfig",
+    "CaptureFormatError", "CaptureHeader", "Trajectory", "read_capture_array",
+    "read_ground_truth", "write_capture", "write_ground_truth", "Impairments",
+    "Scene", "Target", "csi_divide", "oracle_spectrum", "simulate_capture",
+    "simulate_trajectory", "trajectory_samples", "Detection",
+    "DopplerTimeProfile", "RangeDopplerMap", "detect", "doppler_time_profile",
+    "estimate_peak", "range_doppler", "track", "window_maps", "Scenario",
+    "ScenarioError", "load_scenario", "simulate_scenario", "remove_dc",
+    "SyncParams", "SyncReport", "align_phases", "coarse_delay",
+    "compensate_delay", "fine_delay", "frame_phases", "synchronize",
+    "time_domain", "SPEED_OF_LIGHT", "ResolutionReport", "WaveformConfig",
     "doppler_resolution", "generate_ltf_symbols", "make_config",
     "range_accuracy", "range_resolution", "resolution_report",
     "symbol_grid_from_sequence", "unambiguous_limits",

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Sequence, Tuple
+from typing import IO, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,27 +46,18 @@ class CaptureHeader:
         return self.n_subcarriers * self.subcarrier_spacing_hz
 
 
-def write_capture(path, cfg: WaveformConfig,
-                  frames: Iterable[np.ndarray]) -> int:
-    """Stream frames to a capture file; returns the frame count written.
-
-    The frame total is patched into the header after the stream ends, so
-    the iterable's length need not be known up front.
-    """
-    count = 0
+def write_capture(path, cfg: WaveformConfig, frames: np.ndarray) -> int:
+    """Write a (frames, subcarriers) array as one capture file; returns the
+    frame count written."""
+    frames = np.asarray(frames, dtype="<c8")
+    if frames.ndim != 2 or frames.shape[1] != cfg.n_subcarriers:
+        raise CaptureFormatError(
+            f"capture of shape {frames.shape} does not have "
+            f"{cfg.n_subcarriers} entries per frame")
     with open(path, "wb") as fh:
-        fh.write(_pack_header(cfg, 0))
-        for frame in frames:
-            row = np.asarray(frame, dtype=np.complex64).ravel()
-            if row.size != cfg.n_subcarriers:
-                raise CaptureFormatError(
-                    f"frame {count} has {row.size} entries, expected "
-                    f"{cfg.n_subcarriers}")
-            fh.write(row.astype("<c8").tobytes())
-            count += 1
-        fh.seek(0)
-        fh.write(_pack_header(cfg, count))
-    return count
+        fh.write(_pack_header(cfg, frames.shape[0]))
+        fh.write(frames.tobytes())
+    return frames.shape[0]
 
 
 def _pack_header(cfg: WaveformConfig, n_frames: int) -> bytes:
@@ -91,47 +83,36 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
                          frame_interval_s=interval, version=version)
 
 
-def read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
-    """Open a capture for streaming: header plus a one-frame-at-a-time
-    generator, which opens the payload once iteration starts. Truncated
-    payloads and non-finite samples raise with the offending frame index;
-    bytes past the header's last frame raise once the generator is
-    exhausted."""
+def read_capture_array(path) -> Tuple[CaptureHeader, np.ndarray]:
+    """Whole capture as an (n_frames, n_subcarriers) complex64 array.
+
+    The payload is sized from the file's length before it is read, so a
+    header that overstates the frame or subcarrier count allocates no more
+    than the file holds. Faults raise in file order: a non-finite sample (named by frame
+    and subcarrier), then a truncated frame, then bytes past the header's
+    last frame."""
     with open(path, "rb") as fh:
         header = read_header(fh)
-
-    def frames() -> Iterator[np.ndarray]:
         frame_bytes = header.n_subcarriers * _ENTRY_BYTES
-        with open(path, "rb") as fh:
-            fh.seek(_HEADER.size)
-            for index in range(header.n_frames):
-                raw = fh.read(frame_bytes)
-                if len(raw) < frame_bytes:
-                    raise CaptureFormatError(
-                        f"truncated at frame {index}: expected {frame_bytes} "
-                        f"bytes, got {len(raw)}")
-                row = np.frombuffer(raw, dtype="<c8").copy()
-                if not np.isfinite(row).all():
-                    bad = int(np.argmin(np.isfinite(row)))
-                    raise CaptureFormatError(
-                        f"non-finite sample at frame {index}, "
-                        f"subcarrier {bad}")
-                yield row
-            if fh.read(1):
-                raise CaptureFormatError(
-                    f"payload continues past the {header.n_frames} frames "
-                    f"the header declares")
-
-    return header, frames()
-
-
-def read_capture_array(path) -> Tuple[CaptureHeader, np.ndarray]:
-    """Whole capture as an (n_frames, n_subcarriers) complex64 array."""
-    header, frames = read_capture(path)
-    rows = list(frames)
-    if rows:
-        return header, np.vstack(rows)
-    return header, np.zeros((0, header.n_subcarriers), dtype=np.complex64)
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        whole = min(header.n_frames, payload // frame_bytes)
+        frames = np.fromfile(fh, dtype="<c8",
+                             count=whole * header.n_subcarriers)
+    frames = frames.reshape(whole, header.n_subcarriers)
+    finite = np.isfinite(frames)
+    if not finite.all():
+        index, bad = np.argwhere(~finite)[0]
+        raise CaptureFormatError(
+            f"non-finite sample at frame {index}, subcarrier {bad}")
+    if whole < header.n_frames:
+        raise CaptureFormatError(
+            f"truncated at frame {whole}: expected {frame_bytes} bytes, "
+            f"got {payload - whole * frame_bytes}")
+    if payload > whole * frame_bytes:
+        raise CaptureFormatError(
+            f"payload continues past the {header.n_frames} frames the "
+            f"header declares")
+    return header, frames
 
 
 @dataclass(frozen=True)

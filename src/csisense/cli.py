@@ -108,6 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _db_to_linear(option: str, value_db: float, db_per_decade: float) -> float:
+    """``10 ** (value_db / db_per_decade)``; a value with no finite linear
+    form is an invalid argument (exit 3), not a traceback."""
+    try:
+        return 10.0 ** (value_db / db_per_decade)
+    except OverflowError:
+        raise ValueError(f"{option} {value_db} has no finite linear "
+                         "value") from None
+
+
 def cmd_calc(args) -> int:
     params = dict(PRESET_CONFIGS[args.preset]) if args.preset else dict(
         PRESET_CONFIGS["wifi-ax211"])
@@ -128,11 +138,7 @@ def cmd_calc(args) -> int:
     cfg = make_config(wave_speed_mps=args.wave_speed, **params)
     snr_linear = None
     if args.snr_db is not None:
-        try:
-            snr_linear = 10.0 ** (args.snr_db / 10.0)
-        except OverflowError:
-            raise ValueError(f"--snr-db {args.snr_db} has no finite linear "
-                             "value") from None
+        snr_linear = _db_to_linear("--snr-db", args.snr_db, 10.0)
     report = resolution_report(cfg, snr_linear)
     print(f"range_resolution_m = {report.range_resolution_m!r}")
     print(f"velocity_resolution_mps = {report.velocity_resolution_mps!r}")
@@ -159,13 +165,20 @@ def cmd_process(args) -> int:
     if args.no_sync and args.emit_sync_report:
         raise ValueError("--emit-sync-report requires synchronization "
                          "(drop --no-sync)")
+    # rdmap.detect applies the threshold as an amplitude ratio.
+    _db_to_linear("--threshold-db", args.threshold_db, 20.0)
     header, capture = capture_io.read_capture_array(args.capture)
     rdmap.window_starts(capture.shape[0], args.window, args.stride)
-    cfg = make_config(
-        n_subcarriers=header.n_subcarriers, n_frames=args.window,
-        subcarrier_spacing_hz=header.subcarrier_spacing_hz,
-        frame_interval_s=header.frame_interval_s,
-        carrier_freq_hz=header.carrier_freq_hz)
+    try:
+        cfg = make_config(
+            n_subcarriers=header.n_subcarriers, n_frames=args.window,
+            subcarrier_spacing_hz=header.subcarrier_spacing_hz,
+            frame_interval_s=header.frame_interval_s,
+            carrier_freq_hz=header.carrier_freq_hz)
+    except ValueError as exc:
+        # The window is already checked, so the header is at fault.
+        raise CaptureFormatError(
+            f"capture {args.capture} has an unusable header: {exc}") from None
     params = SyncParams(
         upsample_factor=args.upsample, phase_step_rad=args.delta,
         history_len=args.history, max_lag=args.max_lag)

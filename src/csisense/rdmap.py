@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -286,8 +286,6 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
     starts = window_starts(capture.shape[0], window, stride)
-    cfg_win = (cfg if cfg.n_frames == window
-               else dc_replace(cfg, n_frames=window))
     if apply_sync:
         capture, _ = synchronize(capture)
     half = (window - 1) / 2.0
@@ -295,8 +293,8 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
         block = capture[start:start + window]
         if apply_sic:
             block = sic.remove_dc(block)
-        t = (start + half) * cfg_win.frame_interval_s
-        yield range_doppler(block, cfg_win, window_fn=window_fn, timestamp_s=t)
+        t = (start + half) * cfg.frame_interval_s
+        yield range_doppler(block, cfg, window_fn=window_fn, timestamp_s=t)
 
 
 def track(maps: Iterable[RangeDopplerMap],

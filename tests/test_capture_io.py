@@ -1,6 +1,8 @@
 import csv
 import json
 import struct
+import tracemalloc
+from typing import Iterator, Tuple
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csisense.capture_io import (CaptureFormatError, Trajectory,
-                                 read_capture, read_capture_array,
-                                 read_detections_jsonl, read_ground_truth,
+from csisense.capture_io import (_ENTRY_BYTES, _HEADER, CaptureFormatError,
+                                 CaptureHeader, Trajectory, _pack_header,
+                                 read_capture_array, read_detections_jsonl,
+                                 read_ground_truth, read_header,
                                  write_capture, write_detections_jsonl,
                                  write_ground_truth, write_map_csv,
                                  write_map_pgm, write_profile_csv,
@@ -52,7 +55,8 @@ def test_header_fields(tmp_path):
     cfg = wifi_cfg()
     path = tmp_path / "cap.bin"
     write_capture(path, cfg, np.zeros((3, 512), dtype=np.complex64))
-    header, _ = read_capture(path)
+    with open(path, "rb") as fh:
+        header = read_header(fh)
     assert header.n_subcarriers == 512
     assert header.n_frames == 3
     assert header.subcarrier_spacing_hz == 312500.0
@@ -64,7 +68,7 @@ def test_header_fields(tmp_path):
 def test_empty_stream(tmp_path):
     cfg = wifi_cfg()
     path = tmp_path / "cap.bin"
-    assert write_capture(path, cfg, iter(())) == 0
+    assert write_capture(path, cfg, np.zeros((0, 512), np.complex64)) == 0
     header, data = read_capture_array(path)
     assert header.n_frames == 0
     assert data.shape == (0, 512)
@@ -75,7 +79,7 @@ def test_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 60)
     with pytest.raises(CaptureFormatError, match="bad magic"):
-        read_capture(path)
+        read_capture_array(path)
 
 
 def test_unsupported_version(tmp_path):
@@ -86,7 +90,7 @@ def test_unsupported_version(tmp_path):
     raw[4:6] = struct.pack("<H", 9)
     path.write_bytes(bytes(raw))
     with pytest.raises(CaptureFormatError, match="version"):
-        read_capture(path)
+        read_capture_array(path)
 
 
 @pytest.mark.parametrize("offset", [14, 22, 30],
@@ -101,7 +105,7 @@ def test_non_finite_or_non_positive_header_field(tmp_path, offset):
         raw[offset:offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(raw))
         with pytest.raises(CaptureFormatError, match="non-finite"):
-            read_capture(path)
+            read_capture_array(path)
 
 
 def test_truncation_reports_frame(tmp_path):
@@ -110,31 +114,15 @@ def test_truncation_reports_frame(tmp_path):
     write_capture(path, cfg, np.ones((4, 512), dtype=np.complex64))
     raw = path.read_bytes()
     path.write_bytes(raw[:38 + 2 * 512 * 8 + 100])  # cut inside frame 2
-    header, frames = read_capture(path)
-    next(frames)
-    next(frames)
     with pytest.raises(CaptureFormatError, match="frame 2"):
-        next(frames)
+        read_capture_array(path)
 
 
 def test_short_header(tmp_path):
     path = tmp_path / "tiny.bin"
     path.write_bytes(b"CSIF\x01")
     with pytest.raises(CaptureFormatError, match="too short"):
-        read_capture(path)
-
-
-def test_reader_is_streaming(tmp_path):
-    cfg = wifi_cfg()
-    path = tmp_path / "cap.bin"
-    grid = np.arange(4 * 512, dtype=np.complex64).reshape(4, 512)
-    write_capture(path, cfg, grid)
-    header, frames = read_capture(path)
-    assert not isinstance(frames, (list, np.ndarray))
-    first = next(frames)
-    assert first.shape == (512,)
-    assert np.array_equal(first, grid[0])
-    frames.close()  # early stop must release the file
+        read_capture_array(path)
 
 
 def test_frame_length_mismatch_rejected(tmp_path):
@@ -142,6 +130,150 @@ def test_frame_length_mismatch_rejected(tmp_path):
     with pytest.raises(CaptureFormatError, match="entries"):
         write_capture(tmp_path / "x.bin", cfg,
                       np.ones((2, 100), dtype=np.complex64))
+
+
+def reference_write_capture(path, cfg, frames) -> int:
+    """The per-frame writer that ``write_capture`` replaced, kept verbatim
+    as the reference for its bytes."""
+    count = 0
+    with open(path, "wb") as fh:
+        fh.write(_pack_header(cfg, 0))
+        for frame in frames:
+            row = np.asarray(frame, dtype=np.complex64).ravel()
+            if row.size != cfg.n_subcarriers:
+                raise CaptureFormatError(
+                    f"frame {count} has {row.size} entries, expected "
+                    f"{cfg.n_subcarriers}")
+            fh.write(row.astype("<c8").tobytes())
+            count += 1
+        fh.seek(0)
+        fh.write(_pack_header(cfg, count))
+    return count
+
+
+def reference_read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
+    """The streaming reader that ``read_capture_array`` replaced, kept
+    verbatim as the reference for its arrays and messages."""
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+
+    def frames() -> Iterator[np.ndarray]:
+        frame_bytes = header.n_subcarriers * _ENTRY_BYTES
+        with open(path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            for index in range(header.n_frames):
+                raw = fh.read(frame_bytes)
+                if len(raw) < frame_bytes:
+                    raise CaptureFormatError(
+                        f"truncated at frame {index}: expected {frame_bytes} "
+                        f"bytes, got {len(raw)}")
+                row = np.frombuffer(raw, dtype="<c8").copy()
+                if not np.isfinite(row).all():
+                    bad = int(np.argmin(np.isfinite(row)))
+                    raise CaptureFormatError(
+                        f"non-finite sample at frame {index}, "
+                        f"subcarrier {bad}")
+                yield row
+            if fh.read(1):
+                raise CaptureFormatError(
+                    f"payload continues past the {header.n_frames} frames "
+                    f"the header declares")
+
+    return header, frames()
+
+
+def reference_read_capture_array(path):
+    header, frames = reference_read_capture(path)
+    rows = list(frames)
+    if rows:
+        return header, np.vstack(rows)
+    return header, np.zeros((0, header.n_subcarriers), dtype=np.complex64)
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: its message, or the header and the
+    array's dtype, shape and bytes."""
+    try:
+        header, frames = read(path)
+    except CaptureFormatError as exc:
+        return str(exc)
+    return header, frames.dtype, frames.shape, frames.tobytes()
+
+
+def small_cfg(n_sub):
+    return make_config(n_subcarriers=n_sub, n_frames=2,
+                       subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
+                       carrier_freq_hz=6.3e9)
+
+
+small_grids = st.integers(2, 16).flatmap(lambda n_sub: hnp.arrays(
+    np.complex64, st.tuples(st.integers(0, 6), st.just(n_sub)),
+    elements=st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                width=64)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=small_grids)
+def test_round_trip_matches_streaming_reference(tmp_path_factory, grid):
+    folder = tmp_path_factory.mktemp("codec")
+    cfg = small_cfg(grid.shape[1])
+    path, again, ref = (folder / n for n in ("a.bin", "b.bin", "ref.bin"))
+    assert write_capture(path, cfg, grid) == grid.shape[0]
+    assert reference_write_capture(ref, cfg, grid) == grid.shape[0]
+    assert path.read_bytes() == ref.read_bytes()
+    header, data = read_capture_array(path)
+    assert data.dtype == np.complex64 and data.shape == grid.shape
+    assert data.tobytes() == grid.tobytes()
+    assert read_outcome(read_capture_array, path) \
+        == read_outcome(reference_read_capture_array, path)
+    write_capture(again, cfg, data)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=small_grids, data=st.data())
+def test_malformed_capture_matches_streaming_reference(tmp_path_factory,
+                                                       grid, data):
+    path = tmp_path_factory.mktemp("codec") / "cap.bin"
+    write_capture(path, small_cfg(grid.shape[1]), grid)
+    raw = bytearray(path.read_bytes())
+    if grid.size and data.draw(st.booleans(), label="non-finite"):
+        for _ in range(data.draw(st.integers(1, 3), label="cells")):
+            offset = (_HEADER.size
+                      + data.draw(st.integers(0, 2 * grid.size - 1)) * 4)
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            raw[offset:offset + 4] = struct.pack("<f", value)
+    if data.draw(st.booleans(), label="recount"):
+        raw[10:14] = struct.pack("<I", data.draw(st.integers(0, 8)))
+    if data.draw(st.booleans(), label="cut"):
+        del raw[data.draw(st.integers(0, len(raw) - 1), label="at"):]
+    if data.draw(st.booleans(), label="append"):
+        raw += data.draw(st.binary(min_size=1, max_size=40))
+    path.write_bytes(bytes(raw))
+    assert read_outcome(read_capture_array, path) \
+        == read_outcome(reference_read_capture_array, path)
+
+
+@pytest.mark.parametrize("offset, message", [
+    (10, "truncated at frame 1: expected 4096 bytes, got 0"),
+    (6, "truncated at frame 0: expected 34359738360 bytes, got 4096"),
+], ids=["frames", "subcarriers"])
+def test_overstated_header_allocates_about_the_file(tmp_path, offset,
+                                                    message):
+    # The header claims 2**32 - 1 frames (or subcarriers) over one frame.
+    path = tmp_path / "cap.bin"
+    write_capture(path, wifi_cfg(), np.ones((1, 512), dtype=np.complex64))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", 2 ** 32 - 1)
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaptureFormatError, match=message):
+            read_capture_array(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
 
 
 def test_ground_truth_interpolation(tmp_path):

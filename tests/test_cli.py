@@ -231,6 +231,20 @@ def test_process_non_finite_threshold_writes_nothing(workdir, tmp_path,
     assert not out.exists() and not report.exists()
 
 
+def test_process_unrepresentable_threshold_exits_3(workdir, tmp_path,
+                                                   capsys):
+    out, report = tmp_path / "d.jsonl", tmp_path / "sync.json"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--threshold-db", "8000", "--out", str(out),
+                 "--emit-sync-report", str(report)]) == 3
+    assert "--threshold-db 8000.0 has no finite linear value" \
+        in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+    # checked before the capture is opened
+    assert main(["process", str(tmp_path / "missing.bin"),
+                 "--threshold-db", "8000"]) == 3
+
+
 @pytest.mark.parametrize("flag", ["--max-range-err", "--max-vel-err",
                                   "--min-true-velocity"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -288,13 +302,36 @@ def test_process_trailing_bytes_exits_2(workdir, tmp_path, capsys):
 
 
 def test_process_unpatched_frame_count_exits_2(workdir, tmp_path, capsys):
-    # An interrupted write leaves the header's frame count at 0.
+    # A header that declares 0 frames over a full payload.
     raw = bytearray((workdir / "cap.bin").read_bytes())
     raw[10:14] = struct.pack("<I", 0)
     unpatched = tmp_path / "unpatched.bin"
     unpatched.write_bytes(bytes(raw))
     assert main(["process", str(unpatched), "--window", "16"]) == 2
     assert "past the 0 frames" in capsys.readouterr().err
+
+
+def test_process_one_subcarrier_header_exits_2(tmp_path, capsys):
+    # A well-formed file whose header describes no usable waveform.
+    bad = tmp_path / "one_subcarrier.bin"
+    bad.write_bytes(struct.pack("<4sHIIddd", b"CSIF", 1, 1, 48, 6.3e9,
+                                312.5e3, 0.025) + b"\0" * 48 * 8)
+    out = tmp_path / "d.jsonl"
+    assert main(["process", str(bad), "--window", "16",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "n_subcarriers must be >= 2" in err
+    assert not out.exists()
+
+
+def test_process_subnormal_spacing_header_exits_2(workdir, tmp_path, capsys):
+    raw = bytearray((workdir / "cap.bin").read_bytes())
+    raw[22:30] = struct.pack("<d", 1e-320)  # subcarrier spacing
+    bad = tmp_path / "tiny_spacing.bin"
+    bad.write_bytes(bytes(raw))
+    assert main(["process", str(bad), "--window", "16"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "range resolution is inf" in err
 
 
 def test_eval_pass_and_fail(workdir, tmp_path, capsys):
