@@ -165,12 +165,10 @@ def read_ground_truth(path) -> Trajectory:
 
 
 def write_ground_truth(path, trajectory: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRUTH_FIELDS)
-        for t, r, v in zip(trajectory.times_s, trajectory.ranges_m,
-                           trajectory.velocities_mps):
-            writer.writerow([repr(float(t)), repr(float(r)), repr(float(v))])
+    _write_grid_csv(path, _TRUTH_FIELDS[0], _TRUTH_FIELDS[1:],
+                    trajectory.times_s.tolist(),
+                    np.column_stack((trajectory.ranges_m,
+                                     trajectory.velocities_mps)))
 
 
 def _write_grid_csv(path, corner: str, column_labels: Sequence[float],

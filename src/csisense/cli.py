@@ -19,7 +19,7 @@ from . import capture_io, rdmap
 from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
                         load_scenario, simulate_scenario)
-from .sync import SyncParams, synchronize
+from .sync import MAX_UPSAMPLE_FACTOR, SyncParams, synchronize
 from .waveform import SPEED_OF_LIGHT, make_config, resolution_report
 
 EXIT_OK = 0
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip delay/phase synchronization")
     proc.add_argument("--upsample", type=int,
                       default=SyncParams.upsample_factor,
-                      help="delay refinement factor")
+                      help=f"delay refinement factor, 1 to "
+                           f"{MAX_UPSAMPLE_FACTOR}")
     proc.add_argument("--delta", type=float,
                       default=SyncParams.phase_step_rad,
                       help="phase jump quantum, rad")
@@ -167,6 +168,9 @@ def cmd_process(args) -> int:
                          "(drop --no-sync)")
     # rdmap.detect applies the threshold as an amplitude ratio.
     _db_to_linear("--threshold-db", args.threshold_db, 20.0)
+    params = SyncParams(
+        upsample_factor=args.upsample, phase_step_rad=args.delta,
+        history_len=args.history, max_lag=args.max_lag)
     header, capture = capture_io.read_capture_array(args.capture)
     rdmap.window_starts(capture.shape[0], args.window, args.stride)
     try:
@@ -179,9 +183,6 @@ def cmd_process(args) -> int:
         # The window is already checked, so the header is at fault.
         raise CaptureFormatError(
             f"capture {args.capture} has an unusable header: {exc}") from None
-    params = SyncParams(
-        upsample_factor=args.upsample, phase_step_rad=args.delta,
-        history_len=args.history, max_lag=args.max_lag)
 
     if not args.no_sync:
         capture, report = synchronize(capture, params)

@@ -81,10 +81,9 @@ class Scenario:
     phase_drift_std_rad: float = 0.0
     seed: int = 0
 
-    def config(self, n_frames: Optional[int] = None) -> WaveformConfig:
+    def config(self) -> WaveformConfig:
         return make_config(
-            n_subcarriers=self.n_subcarriers,
-            n_frames=n_frames if n_frames is not None else self.frame_count,
+            n_subcarriers=self.n_subcarriers, n_frames=self.frame_count,
             subcarrier_spacing_hz=self.subcarrier_spacing_hz,
             frame_interval_s=self.frame_interval_s,
             carrier_freq_hz=self.carrier_freq_hz,

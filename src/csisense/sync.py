@@ -1,6 +1,6 @@
-"""Time-phase synchronization: coarse/fine delay recovery by correlation
-against a zero-delay reference, delay compensation, and frame phase
-alignment that removes quantized phase jumps while keeping small drifts."""
+"""Time-phase synchronization: coarse/fine delay recovery from the peak of
+frame 0's impulse response, delay compensation, and frame phase alignment
+that removes quantized phase jumps while keeping small drifts."""
 from __future__ import annotations
 
 import math
@@ -9,12 +9,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+# A 1/1024-sample delay step is under 1 mm of range at 160 MHz.
+MAX_UPSAMPLE_FACTOR = 1024
+
 
 @dataclass(frozen=True)
 class SyncParams:
     """Knobs for delay search and phase alignment.
 
-    upsample_factor: sub-sample delay granularity is 1/upsample_factor.
+    upsample_factor: sub-sample delay granularity is 1/upsample_factor,
+        at most 1/MAX_UPSAMPLE_FACTOR.
     phase_step_rad: jump quantum; corrections are integer multiples of it.
     history_len: frames averaged into the phase reference.
     max_lag: coarse search half-width in samples (default n_subcarriers/4).
@@ -26,8 +30,9 @@ class SyncParams:
     max_lag: Optional[int] = None
 
     def __post_init__(self):
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
+        if not 1 <= self.upsample_factor <= MAX_UPSAMPLE_FACTOR:
+            raise ValueError(f"upsample_factor must be in "
+                             f"[1, {MAX_UPSAMPLE_FACTOR}]")
         if not 0.0 < self.phase_step_rad <= np.pi:
             raise ValueError("phase_step_rad must be in (0, pi]")
         if self.history_len < 1:
@@ -66,38 +71,25 @@ def time_domain(grid: np.ndarray) -> np.ndarray:
     return np.fft.ifft(grid, axis=-1)
 
 
-def reference_time_sequence(n_subcarriers: int) -> np.ndarray:
-    """Sample-domain reference for CSI grids (ideal channel: flat spectrum)."""
-    return np.fft.ifft(np.ones(n_subcarriers))
-
-
-def _best_lag(reference: np.ndarray, received: np.ndarray, center: int,
-              half_width: int) -> Tuple[int, float]:
-    """The lag within ``half_width`` of ``center`` where |C(l)| peaks, and
-    that peak magnitude.
-
-    C(l) = sum_s conj(reference[s]) * received[s + l], circular in s. Ties
-    resolve toward the lag nearest ``center``, the smaller one first.
-    """
-    offsets = sorted(range(-half_width, half_width + 1),
-                     key=lambda off: (abs(off), off > 0))
-    conj_reference = np.conj(reference)
-    mags = np.abs([np.roll(received, -(center + off)) @ conj_reference
-                   for off in offsets])
+def _strongest_tap(sequence: np.ndarray, center: int,
+                   half_width: int) -> Tuple[int, float]:
+    """The lag within ``half_width`` of ``center`` where |sequence| peaks,
+    indices wrapping around, and that peak magnitude. Ties resolve toward
+    the lag nearest ``center``, the smaller one first."""
+    steps = np.arange(2 * half_width + 1)
+    offsets = np.where(steps % 2, -1, 1) * ((steps + 1) // 2)  # 0, -1, 1, ...
+    mags = np.abs(sequence[(center + offsets) % len(sequence)])
     best = int(np.argmax(mags))
-    return center + offsets[best], float(mags[best])
+    return center + int(offsets[best]), float(mags[best])
 
 
-def coarse_delay(reference_time: np.ndarray, received_time: np.ndarray,
-                 max_lag: int) -> int:
-    """Integer delay of the strongest return, searched over [-max_lag, max_lag].
-
-    Both inputs are sample-domain sequences of one frame.
-    """
+def coarse_delay(received_time: np.ndarray, max_lag: int) -> int:
+    """Integer delay of the strongest tap of one frame's sample sequence,
+    searched over [-max_lag, max_lag]."""
     n = len(received_time)
     if not 1 <= max_lag < n:
         raise ValueError(f"max_lag must be in [1, {n})")
-    lag, peak = _best_lag(reference_time, received_time, 0, int(max_lag))
+    lag, peak = _strongest_tap(received_time, 0, int(max_lag))
     if peak == 0.0:
         raise ValueError("no correlation peak: received sequence is all zero")
     return lag
@@ -110,18 +102,18 @@ def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * factor
 
 
-def fine_delay(reference_time: np.ndarray, received_time: np.ndarray,
-               coarse_lag: int, upsample_factor: int) -> float:
-    """Sub-sample refinement around ``coarse_lag``; |result| <= 1 sample."""
+def fine_delay(received_time: np.ndarray, coarse_lag: int,
+               upsample_factor: int) -> float:
+    """Sub-sample refinement around ``coarse_lag``: the strongest tap of the
+    upsampled sequence within one sample of it; |result| <= 1 sample."""
     if upsample_factor < 1:
         raise ValueError("upsample_factor must be >= 1")
     if upsample_factor == 1:
         return 0.0
     u = int(upsample_factor)
     # Upsampling can flush a subnormal sequence to zero; with no fine peak
-    # the coarse lag stands (the search then returns offset 0).
-    lag, _ = _best_lag(_upsample(reference_time, u),
-                       _upsample(received_time, u), coarse_lag * u, u)
+    # the coarse lag stands (offset 0 comes first in the tie order).
+    lag, _ = _strongest_tap(_upsample(received_time, u), coarse_lag * u, u)
     return (lag - coarse_lag * u) / u
 
 
@@ -198,20 +190,20 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None
     """Full sync pass over a capture: delay estimate from the dominant
     (zero-delay coupling) return, compensation, then phase alignment.
 
-    The delay is found by correlating frame 0's sample sequence against the
-    ideal-channel reference, which is correct for CSI grids.
+    The delay is the strongest tap of frame 0's impulse response (its
+    sample sequence), first to the sample, then to 1/upsample_factor.
     """
     p = params if params is not None else SyncParams()
-    grid = np.asarray(grid, dtype=complex)
+    grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 1:
         raise ValueError("need a non-empty 2-D frame-by-subcarrier grid")
     n = grid.shape[-1]
     max_lag = p.max_lag if p.max_lag is not None else max(1, n // 4)
-    reference = reference_time_sequence(n)
-    received = time_domain(grid[0])
-    coarse = coarse_delay(reference, received, max_lag)
-    fine = fine_delay(reference, received, coarse, p.upsample_factor)
-    # Rebinding frees each stage's input, so at most two full copies are live.
+    received = time_domain(grid[0].astype(complex))
+    coarse = coarse_delay(received, max_lag)
+    fine = fine_delay(received, coarse, p.upsample_factor)
+    # compensate_delay's product upcasts a complex64 grid exactly, and
+    # rebinding frees each stage's input: at most two full copies are live.
     grid = compensate_delay(grid, coarse + fine)
     grid, report = align_phases(grid, p)
     report.coarse_lag_samples = int(coarse)

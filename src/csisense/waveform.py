@@ -54,11 +54,6 @@ class WaveformConfig:
                 raise ValueError(
                     f"{name} is {value!r}: not positive and finite")
 
-    @property
-    def sample_interval_s(self) -> float:
-        """Duration of one sample of the per-frame sequence (1/B)."""
-        return 1.0 / self.bandwidth_hz
-
 
 def make_config(*, n_subcarriers: int, n_frames: int,
                 subcarrier_spacing_hz: Optional[float] = None,
@@ -155,7 +150,6 @@ class ResolutionReport:
     max_range_m: float
     max_velocity_mps: float          # full span; usable estimates are +-span/2
     range_accuracy_m: Optional[float] = None
-    snr_linear: Optional[float] = None
 
 
 def resolution_report(cfg: WaveformConfig,
@@ -166,4 +160,4 @@ def resolution_report(cfg: WaveformConfig,
         range_resolution_m=range_resolution(cfg),
         velocity_resolution_mps=doppler_resolution(cfg),
         max_range_m=r_max, max_velocity_mps=v_max,
-        range_accuracy_m=acc, snr_linear=snr_linear)
+        range_accuracy_m=acc)

@@ -21,6 +21,7 @@ from csisense.capture_io import (_ENTRY_BYTES, _HEADER, CaptureFormatError,
 from csisense.channel import Scene, Target, csi_divide, simulate_capture
 from csisense.rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap,
                             range_doppler)
+from csisense.scenarios import load_scenario, simulate_scenario
 from csisense.sync import SyncReport
 from csisense.waveform import generate_ltf_symbols, make_config
 
@@ -323,6 +324,38 @@ def test_ground_truth_round_trip(tmp_path):
     assert np.array_equal(back.times_s, truth.times_s)
     assert np.array_equal(back.ranges_m, truth.ranges_m)
     assert np.array_equal(back.velocities_mps, truth.velocities_mps)
+
+
+def reference_write_ground_truth(path, trajectory):
+    """The per-row ``repr`` writer that ``write_ground_truth`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "range_m", "velocity_mps"])
+        for t, r, v in zip(trajectory.times_s, trajectory.ranges_m,
+                           trajectory.velocities_mps):
+            writer.writerow([repr(float(t)), repr(float(r)), repr(float(v))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_ground_truth_writer_matches_reference_bytes(tmp_path_factory, rows):
+    truth = Trajectory(times_s=rows[:, 0], ranges_m=rows[:, 1],
+                       velocities_mps=rows[:, 2])
+    root = tmp_path_factory.mktemp("truth")
+    write_ground_truth(root / "truth.csv", truth)
+    reference_write_ground_truth(root / "ref.csv", truth)
+    assert (root / "truth.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["test1", "gesture"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_simulated_truth_matches_reference_bytes(tmp_path, scenario, seed):
+    _, _, truth = simulate_scenario(load_scenario(scenario), seed)
+    write_ground_truth(tmp_path / "truth.csv", truth)
+    reference_write_ground_truth(tmp_path / "ref.csv", truth)
+    assert (tmp_path / "truth.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
 
 
 def map_for_export():

@@ -245,6 +245,25 @@ def test_process_unrepresentable_threshold_exits_3(workdir, tmp_path,
                  "--threshold-db", "8000"]) == 3
 
 
+
+@pytest.mark.parametrize("argv", [["--upsample", "0"], ["--upsample", "1025"],
+                                  ["--history", "0"], ["--max-lag", "0"],
+                                  ["--delta", "0"]])
+def test_process_bad_sync_argument_exits_3_before_the_read(tmp_path, capsys,
+                                                           argv):
+    assert main(["process", str(tmp_path / "missing.bin"), *argv]) == 3
+    assert "No such file" not in capsys.readouterr().err
+
+
+def test_process_upsample_limit(workdir, tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--upsample", "1025", "--out", str(out)]) == 3
+    assert "upsample_factor must be in [1, 1024]" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--upsample", "1024", "--out", str(out)]) == 0
+
 @pytest.mark.parametrize("flag", ["--max-range-err", "--max-vel-err",
                                   "--min-true-velocity"])
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from csisense import sync
 from csisense.channel import Impairments, Scene, Target, csi_divide, simulate_capture
-from csisense.sync import (SyncParams, align_phases, coarse_delay,
-                           compensate_delay, fine_delay, frame_phases,
-                           reference_time_sequence, synchronize, time_domain)
+from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncParams, align_phases,
+                           coarse_delay, compensate_delay, fine_delay,
+                           frame_phases, synchronize, time_domain)
 from csisense.waveform import generate_ltf_symbols, make_config
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
@@ -34,50 +34,67 @@ def impaired_capture(cfg, offset=0.0, seed=1, jump_step=0.0, jump_prob=0.0,
 
 
 def test_coarse_delay_zero_shift():
-    x = time_domain(generate_ltf_symbols(cfg_of(n=64, m=2), 3))[0]
-    assert coarse_delay(x, x, 16) == 0
+    cfg = cfg_of(n=64, m=2)
+    x = time_domain(impaired_capture(cfg)[0])[0]
+    assert coarse_delay(x, 16) == 0
 
 
 def test_coarse_delay_circular_shift():
-    x = time_domain(generate_ltf_symbols(cfg_of(n=64, m=2), 3))[0]
-    assert coarse_delay(x, np.roll(x, 3), 16) == 3
+    cfg = cfg_of(n=64, m=2)
+    x = time_domain(impaired_capture(cfg)[0])[0]
+    assert coarse_delay(np.roll(x, 3), 16) == 3
 
 
 def test_coarse_delay_exhaustive_shifts():
-    x = time_domain(generate_ltf_symbols(cfg_of(n=64, m=2), 9))[0]
+    cfg = cfg_of(n=64, m=2)
+    x = time_domain(impaired_capture(cfg, seed=9)[0])[0]
     for k in range(-16, 17):
-        assert coarse_delay(x, np.roll(x, k), 16) == k
+        assert coarse_delay(np.roll(x, k), 16) == k
 
 
 def test_coarse_delay_with_coupling_offset():
     cfg = cfg_of()
     d, _ = impaired_capture(cfg, offset=2.0)
     recv = time_domain(d)[0]
-    ref = reference_time_sequence(cfg.n_subcarriers)
-    assert coarse_delay(ref, recv, cfg.n_subcarriers // 4) == 2
+    assert coarse_delay(recv, cfg.n_subcarriers // 4) == 2
+
+
+def test_coarse_delay_searches_only_within_max_lag():
+    x = np.zeros(32, dtype=complex)
+    x[[3, 9]] = [1.0, 2.0]
+    assert coarse_delay(x, 8) == 3
+    assert coarse_delay(x, 9) == 9
+    x[-1] = 4.0  # lag -1 is the last sample
+    assert coarse_delay(x, 8) == -1
 
 
 def test_coarse_delay_all_zero_input():
-    ref = reference_time_sequence(32)
     with pytest.raises(ValueError, match="no correlation peak"):
-        coarse_delay(ref, np.zeros(32, dtype=complex), 8)
+        coarse_delay(np.zeros(32, dtype=complex), 8)
+    # Taps outside the search do not count.
+    with pytest.raises(ValueError, match="no correlation peak"):
+        coarse_delay(np.eye(32, dtype=complex)[9], 8)
+
+
+def test_coarse_delay_rejects_max_lag_outside_sequence():
+    for max_lag in (0, 32):
+        with pytest.raises(ValueError, match=r"max_lag must be in \[1, 32\)"):
+            coarse_delay(np.ones(32, dtype=complex), max_lag)
 
 
 def test_fine_delay_keeps_coarse_lag_when_upsampling_underflows():
-    # The smallest subnormal correlates above zero, but its upsampled copy
-    # is all zero.
-    ref, recv = np.ones(4, dtype=complex), np.full(4, 5e-324 + 0j)
-    assert coarse_delay(ref, recv, 1) == 0
-    assert fine_delay(ref, recv, 0, 2) == 0.0
+    # The smallest subnormal is a peak, but its upsampled copy is all zero.
+    recv = np.full(4, 5e-324 + 0j)
+    assert coarse_delay(recv, 1) == 0
+    assert fine_delay(recv, 0, 2) == 0.0
 
 
 def test_fine_delay_quarter_sample():
     cfg = cfg_of()
     d, _ = impaired_capture(cfg, offset=0.25)
     recv = time_domain(d)[0]
-    ref = reference_time_sequence(cfg.n_subcarriers)
-    coarse = coarse_delay(ref, recv, 16)
-    fine = fine_delay(ref, recv, coarse, 16)
+    coarse = coarse_delay(recv, 16)
+    fine = fine_delay(recv, coarse, 16)
     assert 0.1875 <= coarse + fine <= 0.3125
 
 
@@ -85,8 +102,7 @@ def test_fine_delay_integer_offset_near_zero():
     cfg = cfg_of()
     d, _ = impaired_capture(cfg, offset=4.0)
     recv = time_domain(d)[0]
-    ref = reference_time_sequence(cfg.n_subcarriers)
-    fine = fine_delay(ref, recv, 4, 16)
+    fine = fine_delay(recv, 4, 16)
     assert abs(fine) <= 1.0 / 16.0
 
 
@@ -94,21 +110,28 @@ def test_fine_delay_unit_factor_is_zero():
     cfg = cfg_of()
     d, _ = impaired_capture(cfg, offset=0.4)
     recv = time_domain(d)[0]
-    ref = reference_time_sequence(cfg.n_subcarriers)
-    assert fine_delay(ref, recv, 0, 1) == 0.0
+    assert fine_delay(recv, 0, 1) == 0.0
 
 
 def test_fine_delay_error_bound_over_fractions():
     # Noiseless single path: error stays within half the refinement step.
     cfg = cfg_of(n=128, m=2)
-    ref = reference_time_sequence(cfg.n_subcarriers)
     u = 16
     for offset in (-0.45, -0.13, 0.118, 0.31, 0.49):
         d, _ = impaired_capture(cfg, offset=offset, coupling_db=40.0)
         recv = time_domain(d)[0]
-        coarse = coarse_delay(ref, recv, 16)
-        fine = fine_delay(ref, recv, coarse, u)
+        coarse = coarse_delay(recv, 16)
+        fine = fine_delay(recv, coarse, u)
         assert abs(coarse + fine - offset) <= 1.0 / (2 * u) + 1e-9
+
+
+def test_fine_delay_at_the_largest_factor():
+    cfg = cfg_of()
+    d, _ = impaired_capture(cfg, offset=-1.3)
+    recv = time_domain(d)[0]
+    coarse = coarse_delay(recv, 16)
+    fine = fine_delay(recv, coarse, MAX_UPSAMPLE_FACTOR)
+    assert abs(coarse + fine + 1.3) <= 1.0 / 16.0
 
 
 def test_compensate_identity():
@@ -238,6 +261,13 @@ def test_sync_report_serializable():
 def test_sync_params_validation():
     with pytest.raises(ValueError):
         SyncParams(upsample_factor=0)
+    # Rejected before fine_delay allocates factor x n_subcarriers samples.
+    for factor in (MAX_UPSAMPLE_FACTOR + 1, 100_000_000):
+        with pytest.raises(ValueError, match=r"upsample_factor must be in "
+                                             r"\[1, 1024\]"):
+            SyncParams(upsample_factor=factor)
+    assert SyncParams(upsample_factor=MAX_UPSAMPLE_FACTOR).upsample_factor \
+        == 1024
     with pytest.raises(ValueError):
         SyncParams(phase_step_rad=0.0)
     with pytest.raises(ValueError):
@@ -247,9 +277,46 @@ def test_sync_params_validation():
 
 
 def test_coarse_delay_tie_breaks_toward_smaller_lag():
-    # A constant sequence correlates identically at every lag.
+    # Every tap of a constant sequence ties.
     x = np.ones(16, dtype=complex)
-    assert coarse_delay(x, x, 4) == 0
+    assert coarse_delay(x, 4) == 0
+    assert fine_delay(x, 0, 4) == 0.0
+    pair = np.zeros(16, dtype=complex)
+    pair[[3, -3]] = [1.0, -1.0j]
+    assert coarse_delay(pair, 4) == -3
+    pair[2] = 1.0
+    assert coarse_delay(pair, 4) == 2
+
+
+def near_tie_grid():
+    """Taps at lags 0 and 1 whose magnitudes differ by about a float32 ulp:
+    a single-precision transform of this complex64 grid picks lag 0, the
+    double-precision one lag 1."""
+    rng = np.random.default_rng(1)
+    gain = (1 + rng.uniform(-3e-7, 3e-7)) * np.exp(1j * rng.uniform(0, 6.3))
+    row = 1 + gain * np.exp(-2j * np.pi * np.arange(64) / 64)
+    return np.tile(row, (4, 1)).astype(np.complex64)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: impaired_capture(cfg_of(n=128, m=16), offset=1.7,
+                             jump_step=np.pi / 2, jump_prob=0.3,
+                             seed=4)[0].astype(np.complex64),
+    near_tie_grid])
+def test_synchronize_complex64_equals_its_upcast(make_grid):
+    single = make_grid()
+    synced, report = synchronize(single)
+    expected, expected_report = synchronize(single.astype(complex))
+    assert synced.dtype == np.complex128
+    assert synced.tobytes() == expected.tobytes()
+    assert report.to_json_dict() == expected_report.to_json_dict()
+
+
+def test_fine_delay_wraps_past_the_last_sample():
+    # Coarse lag n - 1 is lag -1; the tap at lag 0 sits one sample later,
+    # at index n of the sequence, which wraps to 0.
+    x = np.eye(8, dtype=complex)[0]
+    assert fine_delay(x, 7, 4) == 1.0
 
 
 # The per-frame phase loop and the frame-stack lag search that sync used to
@@ -372,26 +439,53 @@ def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
         assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(4, 48), u=st.integers(1, 8),
        kind=st.sampled_from(["drawn", "constant", "pair"]))
 def test_delays_match_reference_search(data, n, u, kind):
+    """The strongest tap is what the correlator against the unit tap found.
+
+    Coarse lags always agree. Fine lags agree wherever the correlator's peak
+    is unique; on exact ties the correlator's upsampled reference broke the
+    tie by rounding, and the search now takes the first tied lag in the
+    documented order (nearest the coarse lag, the smaller one first).
+    """
     max_lag = data.draw(st.integers(1, n - 1))
     elements = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
                                   allow_infinity=False)
     if kind == "pair":  # equal peaks at -k and +k
         k = data.draw(st.integers(1, min(max_lag, n // 2)))
-        reference = np.eye(n, dtype=complex)[0]
         received = np.eye(n, dtype=complex)[k] + np.eye(n, dtype=complex)[-k]
     else:
         values = (elements.map(lambda value: np.full(n, value))
                   if kind == "constant"  # every lag ties
                   else hnp.arrays(complex, n, elements=elements))
-        reference, received = data.draw(values), data.draw(values)
+        received = data.draw(values)
+    reference = np.eye(n, dtype=complex)[0]
     expected = _reference_delays(reference, received, max_lag, u)
     if expected is None:
         with pytest.raises(ValueError, match="no correlation peak"):
-            coarse_delay(reference, received, max_lag)
+            coarse_delay(received, max_lag)
         return
-    coarse = coarse_delay(reference, received, max_lag)
-    assert (coarse, fine_delay(reference, received, coarse, u)) == expected
+    coarse = coarse_delay(received, max_lag)
+    assert coarse == expected[0]
+    fine = fine_delay(received, coarse, u)
+    if u == 1:
+        assert fine == expected[1] == 0.0
+        return
+    offsets = _reference_ordered_lags(u)
+    reference_mags = _reference_lag_magnitudes(
+        _reference_upsample(reference, u), _reference_upsample(received, u),
+        [coarse * u + off for off in offsets])
+    peak = np.max(reference_mags)
+    tied = reference_mags >= peak * (1.0 - 1e-9)
+    if np.count_nonzero(tied) == 1:
+        assert fine == expected[1]
+        return
+    # A tie: the first lag in tie order among the strongest taps of the
+    # upsampled sequence, which is one of the correlator's tied peaks.
+    upsampled = _reference_upsample(received, u)
+    mags = np.abs(upsampled[(coarse * u + np.array(offsets)) % len(upsampled)])
+    first = offsets[int(np.flatnonzero(mags == np.max(mags))[0])]
+    assert fine == first / u
+    assert tied[offsets.index(first)]
