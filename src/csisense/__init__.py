@@ -5,7 +5,7 @@ range-Doppler estimation."""
 from .capture_io import (CaptureFormatError, CaptureHeader, Trajectory,
                          read_capture_array, read_ground_truth, write_capture,
                          write_ground_truth)
-from .channel import (Impairments, Scene, Target, csi_divide, oracle_spectrum,
+from .channel import (Impairments, Scene, Target, oracle_spectrum,
                       simulate_capture, simulate_trajectory,
                       trajectory_samples)
 from .rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap, detect,
@@ -17,16 +17,15 @@ from .sync import (SyncParams, SyncReport, align_phases, coarse_delay,
                    compensate_delay, fine_delay, frame_phases, synchronize,
                    time_domain)
 from .waveform import (SPEED_OF_LIGHT, ResolutionReport, WaveformConfig,
-                       doppler_resolution, generate_ltf_symbols, make_config,
-                       range_accuracy, range_resolution, resolution_report,
-                       symbol_grid_from_sequence, unambiguous_limits)
+                       doppler_resolution, make_config, range_accuracy,
+                       range_resolution, resolution_report, unambiguous_limits)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CaptureFormatError", "CaptureHeader", "Trajectory", "read_capture_array",
     "read_ground_truth", "write_capture", "write_ground_truth", "Impairments",
-    "Scene", "Target", "csi_divide", "oracle_spectrum", "simulate_capture",
+    "Scene", "Target", "oracle_spectrum", "simulate_capture",
     "simulate_trajectory", "trajectory_samples", "Detection",
     "DopplerTimeProfile", "RangeDopplerMap", "detect", "doppler_time_profile",
     "estimate_peak", "range_doppler", "track", "window_maps", "Scenario",
@@ -34,7 +33,6 @@ __all__ = [
     "SyncParams", "SyncReport", "align_phases", "coarse_delay",
     "compensate_delay", "fine_delay", "frame_phases", "synchronize",
     "time_domain", "SPEED_OF_LIGHT", "ResolutionReport", "WaveformConfig",
-    "doppler_resolution", "generate_ltf_symbols", "make_config",
-    "range_accuracy", "range_resolution", "resolution_report",
-    "symbol_grid_from_sequence", "unambiguous_limits",
+    "doppler_resolution", "make_config", "range_accuracy",
+    "range_resolution", "resolution_report", "unambiguous_limits",
 ]

@@ -1,4 +1,4 @@
-"""Point-target scene simulator: received symbol grids, CSI division, and a
+"""Point-target scene simulator: CSI rows per frame and subcarrier, and a
 brute-force spectrum oracle used to validate the FFT pipeline."""
 from __future__ import annotations
 
@@ -158,31 +158,19 @@ def _apply_noise_and_impairments(cfg: WaveformConfig, grid: np.ndarray,
     return grid
 
 
-def simulate_capture(cfg: WaveformConfig, scene: Scene,
-                     symbols: np.ndarray) -> np.ndarray:
-    """Received symbol grid for a static scene, shape (n_frames, n_subcarriers).
+def simulate_capture(cfg: WaveformConfig, scene: Scene) -> np.ndarray:
+    """CSI grid for a static scene, shape (n_frames, n_subcarriers).
 
     Each reflector contributes its gain times a per-frame Doppler phasor and
     a per-subcarrier delay ramp; noise is added before the receiver
     impairments multiply in (they are unit-modulus, so noise statistics are
     unchanged).
     """
-    if symbols.shape != (cfg.n_frames, cfg.n_subcarriers):
-        raise ValueError(f"symbol grid shape {symbols.shape} does not match config")
     _check_bounds(cfg, scene.reflectors())
-    frames = np.arange(cfg.n_frames)
-    received = symbols * _channel_rows(cfg, scene.reflectors(), frames)
+    csi = _channel_rows(cfg, scene.reflectors(), np.arange(cfg.n_frames))
     ref_power = scene.noise_reference_power() if scene.snr_db is not None else 1.0
     return _apply_noise_and_impairments(
-        cfg, received, scene.snr_db, ref_power, scene.impairments)
-
-
-def csi_divide(received: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Per-entry channel matrix: received grid divided by the known symbols."""
-    if received.shape != symbols.shape:
-        raise ValueError(
-            f"grid shapes differ: {received.shape} vs {symbols.shape}")
-    return received / symbols
+        cfg, csi, scene.snr_db, ref_power, scene.impairments)
 
 
 def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:

@@ -153,8 +153,13 @@ def cmd_calc(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
-    cfg, capture, truth = simulate_scenario(scenario, args.seed)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    try:
+        cfg, capture, truth = simulate_scenario(load_scenario(args.scenario),
+                                                args.seed)
+    except ScenarioError as exc:
+        raise ScenarioError(f"scenario {args.scenario}: {exc}") from None
     frames = capture_io.write_capture(args.out, cfg, capture)
     truth_path = args.truth_out or f"{os.path.splitext(args.out)[0]}.truth.csv"
     capture_io.write_ground_truth(truth_path, truth)

@@ -158,6 +158,8 @@ def parse_scenario(text: str) -> Scenario:
         try:
             if key in _INT_KEYS:
                 values[_INT_KEYS[key]] = _integer(value)
+                if key == "seed" and values["seed"] < 0:
+                    raise ValueError(f"seed {value!r} is negative")
             elif key == "bandwidth_hz":
                 values["bandwidth_hz"] = finite_float(value)
             elif key == "snr_db":
@@ -196,32 +198,38 @@ def load_scenario(name_or_path: str) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(
-            f"{name_or_path!r} is neither a preset "
-            f"({', '.join(sorted(PRESET_SCENARIOS))}) nor a readable file: "
-            f"{exc}") from exc
+            f"neither a preset ({', '.join(sorted(PRESET_SCENARIOS))}) nor "
+            f"a readable file: {exc}") from exc
     return parse_scenario(text)
 
 
 def simulate_scenario(scenario: Scenario, seed: Optional[int] = None
                       ) -> Tuple[WaveformConfig, np.ndarray, Trajectory]:
-    """Produce (config, CSI capture, per-frame ground truth) for a scenario."""
+    """Produce (config, CSI capture, per-frame ground truth) for a scenario.
+
+    A scenario that forms no config, impairments or trajectory raises
+    ``ScenarioError``.
+    """
     rng_seed = seed if seed is not None else scenario.seed
-    impairments = Impairments(
-        delay_offset_samples=scenario.delay_offset_samples,
-        phase_jump_step_rad=scenario.phase_jump_step_rad,
-        phase_jump_prob=scenario.phase_jump_prob,
-        phase_drift_std_rad=scenario.phase_drift_std_rad,
-        rng_seed=rng_seed)
     coupling = None
     if scenario.coupling_gain_db is not None:
         coupling = Target(0.0, 0.0, scenario.target_gain
                           * 10.0 ** (scenario.coupling_gain_db / 20.0))
     clutter = [Target(r, 0.0, g) for r, g in scenario.clutter]
-    cfg = scenario.config()
-    capture = simulate_trajectory(
-        cfg, scenario.path, scenario.frame_count, gain=scenario.target_gain,
-        coupling=coupling, clutter=clutter, snr_db=scenario.snr_db,
-        impairments=impairments)
+    try:
+        cfg = scenario.config()
+        impairments = Impairments(
+            delay_offset_samples=scenario.delay_offset_samples,
+            phase_jump_step_rad=scenario.phase_jump_step_rad,
+            phase_jump_prob=scenario.phase_jump_prob,
+            phase_drift_std_rad=scenario.phase_drift_std_rad,
+            rng_seed=rng_seed)
+        capture = simulate_trajectory(
+            cfg, scenario.path, scenario.frame_count,
+            gain=scenario.target_gain, coupling=coupling, clutter=clutter,
+            snr_db=scenario.snr_db, impairments=impairments)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     times, ranges, velocities = trajectory_samples(
         scenario.path, scenario.frame_count, scenario.frame_interval_s)
     truth = Trajectory(times_s=times, ranges_m=ranges,

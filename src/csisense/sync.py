@@ -91,13 +91,16 @@ def coarse_delay(received_time: np.ndarray, max_lag: int) -> int:
         raise ValueError(f"max_lag must be in [1, {n})")
     lag, peak = _strongest_tap(received_time, 0, int(max_lag))
     if peak == 0.0:
-        raise ValueError("no correlation peak: received sequence is all zero")
+        detail = ("received sequence is all zero" if not np.any(received_time)
+                  else f"no tap within +-{max_lag} is nonzero; the strongest "
+                  "tap lies beyond max_lag")
+        raise ValueError(f"no correlation peak: {detail}")
     return lag
 
 
 def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
     """Spectral zero-padding interpolation for sequences whose spectrum
-    occupies DFT bins 0..N-1 (the inverse-DFT-of-a-symbol-grid convention)."""
+    occupies DFT bins 0..N-1 (the inverse-DFT-of-a-CSI-row convention)."""
     spectrum = np.pad(np.fft.fft(x), (0, (factor - 1) * len(x)))
     return np.fft.ifft(spectrum) * factor
 

@@ -1,11 +1,9 @@
-"""OFDM sensing waveform configuration, LTF symbol grids, and resolution math."""
+"""OFDM sensing waveform configuration and resolution math for CSI rows."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 SPEED_OF_LIGHT = 2.998e8  # m/s, configurable per config
 
@@ -78,35 +76,6 @@ def make_config(*, n_subcarriers: int, n_frames: int,
         carrier_freq_hz=float(carrier_freq_hz),
         bandwidth_hz=float(bandwidth_hz),
         wave_speed_mps=float(wave_speed_mps))
-
-
-_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
-
-
-def generate_ltf_symbols(cfg: WaveformConfig, seed: int) -> np.ndarray:
-    """Seeded unit-modulus QPSK training grid, shape (n_frames, n_subcarriers).
-
-    Every frame repeats the same per-subcarrier sequence (training symbols
-    are retransmitted identically), so row m equals row 0 for all m.
-    """
-    rng = np.random.default_rng(seed)
-    row = _QPSK[rng.integers(0, 4, size=cfg.n_subcarriers)]
-    return np.tile(row, (cfg.n_frames, 1))
-
-
-def symbol_grid_from_sequence(cfg: WaveformConfig, sequence) -> np.ndarray:
-    """Grid built from a user-supplied per-subcarrier sequence.
-
-    The sequence must have n_subcarriers entries, none close to zero
-    (downstream CSI division requires |S| bounded away from 0).
-    """
-    seq = np.asarray(sequence, dtype=complex).ravel()
-    if seq.size != cfg.n_subcarriers:
-        raise ValueError(
-            f"sequence length {seq.size} != n_subcarriers {cfg.n_subcarriers}")
-    if np.min(np.abs(seq)) < 1e-6:
-        raise ValueError("sequence entries must be bounded away from zero")
-    return np.tile(seq, (cfg.n_frames, 1))
 
 
 def range_resolution(cfg: WaveformConfig) -> float:

@@ -7,15 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from csisense.channel import (Impairments, Scene, Target, csi_divide,
-                              oracle_spectrum, simulate_capture)
+from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
+                              simulate_capture)
 from csisense.cli import main
 from csisense.rdmap import doppler_time_profile, range_doppler, window_maps
 from csisense.sic import remove_dc
 from csisense.sync import SyncParams, align_phases, frame_phases, synchronize
-from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
-                               make_config, range_resolution,
-                               unambiguous_limits)
+from csisense.waveform import (doppler_resolution, make_config,
+                               range_resolution, unambiguous_limits)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -45,15 +44,13 @@ def test_criterion_1_calculator_reproduction():
 def test_criterion_2_oracle_equivalence():
     started = time.perf_counter()
     cfg = make_config(n_subcarriers=32, n_frames=16, **WIFI)
-    symbols = generate_ltf_symbols(cfg, 11)
     matches = 0
     cases = [(l, p) for l in (2, 7, 12, 17, 22) for p in (-6, -3, 1, 4, 7)]
     for range_bin, doppler_bin in cases:
         scene = Scene(targets=(Target(range_bin * range_resolution(cfg),
                                       doppler_bin * doppler_resolution(cfg)),))
-        pipeline = range_doppler(
-            csi_divide(simulate_capture(cfg, scene, symbols), symbols),
-            cfg, window_fn="rect")
+        pipeline = range_doppler(simulate_capture(cfg, scene), cfg,
+                                 window_fn="rect")
         if pipeline.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin() \
                 == (doppler_bin, range_bin):
             matches += 1
@@ -65,7 +62,6 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_sync_recovery():
     cfg = make_config(n_subcarriers=256, n_frames=8, **WIFI)
-    symbols = generate_ltf_symbols(cfg, 2)
     rng = np.random.default_rng(2024)
     recovered = 0
     aligned_all = True
@@ -76,7 +72,7 @@ def test_criterion_3_sync_recovery():
             coupling=Target(0.0, 0.0, 10.0 ** 1.5),
             impairments=Impairments(delay_offset_samples=offset,
                                     rng_seed=case))
-        grid = csi_divide(simulate_capture(cfg, scene, symbols), symbols)
+        grid = simulate_capture(cfg, scene)
         synced, rep = synchronize(grid, SyncParams(upsample_factor=16))
         if abs(rep.effective_lag_samples - offset) <= 1.0 / 16.0 + 1e-12:
             recovered += 1
@@ -93,14 +89,13 @@ def test_criterion_4_phase_alignment():
     delta = np.pi / 2
     drift = 0.02
     cfg = make_config(n_subcarriers=128, n_frames=128, **WIFI)
-    symbols = generate_ltf_symbols(cfg, 5)
     scene = Scene(
         targets=(Target(12.0, -0.08),),
         coupling=Target(0.0, 0.0, 10.0 ** 1.5),
         impairments=Impairments(phase_jump_step_rad=delta,
                                 phase_jump_prob=0.2,
                                 phase_drift_std_rad=drift, rng_seed=7))
-    grid = csi_divide(simulate_capture(cfg, scene, symbols), symbols)
+    grid = simulate_capture(cfg, scene)
     params = SyncParams(phase_step_rad=delta)
     aligned, _ = align_phases(grid, params)
     phases = frame_phases(aligned)
@@ -116,24 +111,21 @@ def test_criterion_4_phase_alignment():
 
 def test_criterion_5_sic_invariants():
     cfg = make_config(n_subcarriers=64, n_frames=32, **WIFI)
-    symbols = generate_ltf_symbols(cfg, 3)
     mover = Target(5 * range_resolution(cfg), 6 * doppler_resolution(cfg))
 
     noisy = Scene(targets=(mover,), coupling=Target(0.0, 0.0, 100.0),
                   snr_db=20.0, impairments=Impairments(rng_seed=1))
-    cleaned = remove_dc(csi_divide(simulate_capture(cfg, noisy, symbols),
-                                   symbols))
+    cleaned = remove_dc(simulate_capture(cfg, noisy))
     col_mean = float(np.max(np.abs(np.mean(cleaned, axis=0))))
 
     quiet = Scene(targets=(mover,), coupling=Target(0.0, 0.0, 100.0))
-    grid = csi_divide(simulate_capture(cfg, quiet, symbols), symbols)
+    grid = simulate_capture(cfg, quiet)
     rdm = range_doppler(remove_dc(grid), cfg, window_fn="rect")
     zero_row = rdm.n_doppler // 2
     bin0_ratio = float(np.sum(rdm.magnitude()[zero_row] ** 2)
                        / np.sum(rdm.magnitude() ** 2))
 
-    alone = csi_divide(simulate_capture(cfg, Scene(targets=(mover,)),
-                                        symbols), symbols)
+    alone = simulate_capture(cfg, Scene(targets=(mover,)))
     peak_alone = np.max(range_doppler(alone, cfg, window_fn="rect").magnitude())
     peak_clean = rdm.magnitude()[zero_row + 6, 5]
     mover_change = abs(peak_clean - peak_alone) / peak_alone

@@ -18,12 +18,12 @@ from csisense.capture_io import (_ENTRY_BYTES, _HEADER, CaptureFormatError,
                                  write_ground_truth, write_map_csv,
                                  write_map_pgm, write_profile_csv,
                                  write_sync_report_json)
-from csisense.channel import Scene, Target, csi_divide, simulate_capture
+from csisense.channel import Scene, Target, simulate_capture
 from csisense.rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap,
                             range_doppler)
 from csisense.scenarios import load_scenario, simulate_scenario
 from csisense.sync import SyncReport
-from csisense.waveform import generate_ltf_symbols, make_config
+from csisense.waveform import make_config
 
 
 def wifi_cfg(m=32):
@@ -33,9 +33,8 @@ def wifi_cfg(m=32):
 
 
 def simulated_grid(cfg):
-    s = generate_ltf_symbols(cfg, 7)
     scene = Scene(targets=(Target(10.0, 0.1, 1.0),), snr_db=15.0)
-    return csi_divide(simulate_capture(cfg, scene, s), s)
+    return simulate_capture(cfg, scene)
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from csisense.channel import (Impairments, Scene, Target, csi_divide,
-                              oracle_spectrum, phase_error_trace,
-                              simulate_capture, simulate_trajectory,
-                              trajectory_samples)
-from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
-                               make_config, range_resolution)
+from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
+                              phase_error_trace, simulate_capture,
+                              simulate_trajectory, trajectory_samples)
+from csisense.waveform import doppler_resolution, make_config, range_resolution
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -25,8 +23,8 @@ def on_bin_target(cfg, range_bin, doppler_bin, gain=1.0):
                   doppler_bin * doppler_resolution(cfg), gain)
 
 
-def eq5_direct(cfg, scene, symbols):
-    """Independent entry-by-entry evaluation of the received-symbol sum."""
+def eq5_direct(cfg, scene):
+    """Independent entry-by-entry evaluation of the CSI sum."""
     out = np.zeros((cfg.n_frames, cfg.n_subcarriers), dtype=complex)
     for m in range(cfg.n_frames):
         for n in range(cfg.n_subcarriers):
@@ -38,29 +36,26 @@ def eq5_direct(cfg, scene, symbols):
                 acc += t.gain * np.exp(
                     2j * np.pi * cfg.frame_interval_s * f_d * m) * np.exp(
                     -2j * np.pi * n * cfg.subcarrier_spacing_hz * tau)
-            out[m, n] = symbols[m, n] * acc
+            out[m, n] = acc
     return out
 
 
 def test_empty_scene_is_silent():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 1)
-    rx = simulate_capture(cfg, Scene(), s)
-    assert np.all(rx == 0)
+    assert np.all(simulate_capture(cfg, Scene()) == 0)
 
 
-def test_zero_delay_unit_target_passes_symbols_through():
+def test_zero_delay_unit_target_is_all_ones():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 1)
-    rx = simulate_capture(cfg, Scene(targets=(Target(0.0, 0.0, 1.0),)), s)
-    assert np.allclose(rx, s, atol=1e-12)
+    d = simulate_capture(cfg, Scene(targets=(Target(0.0, 0.0, 1.0),)))
+    assert np.allclose(d, np.ones((cfg.n_frames, cfg.n_subcarriers)),
+                       atol=1e-12)
 
 
 def test_phase_slopes_match_delay_and_doppler():
     cfg = wifi_cfg()
-    s = generate_ltf_symbols(cfg, 1)
     target = Target(0.45, 0.075, 1.0)
-    d = csi_divide(simulate_capture(cfg, Scene(targets=(target,)), s), s)
+    d = simulate_capture(cfg, Scene(targets=(target,)))
     tau = 2.0 * 0.45 / cfg.wave_speed_mps          # ~3 ns
     f_d = 2.0 * 0.075 * cfg.carrier_freq_hz / cfg.wave_speed_mps  # ~3.15 Hz
     slope_n = np.angle(d[0, 1] / d[0, 0])
@@ -74,22 +69,18 @@ def test_phase_slopes_match_delay_and_doppler():
 
 def test_capture_matches_direct_sum():
     cfg = small_cfg(n=16, m=8)
-    s = generate_ltf_symbols(cfg, 5)
     scene = Scene(targets=(on_bin_target(cfg, 3, 2),
                            Target(22.1, -0.04, 0.5 - 0.25j)),
                   clutter=(Target(40.0, 0.0, 0.3),))
-    rx = simulate_capture(cfg, scene, s)
-    direct = eq5_direct(cfg, scene, s)
-    assert np.max(np.abs(rx - direct)) < 1e-9 * np.max(np.abs(direct))
+    d = simulate_capture(cfg, scene)
+    direct = eq5_direct(cfg, scene)
+    assert np.max(np.abs(d - direct)) < 1e-9 * np.max(np.abs(direct))
 
 
-def test_csi_divide_identity_and_structure():
+def test_static_target_frames_equal_delay_ramp():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 2)
-    assert np.allclose(csi_divide(s, s), np.ones_like(s), atol=1e-12)
-
     target = Target(30.0, 0.0, 1.0)
-    d = csi_divide(simulate_capture(cfg, Scene(targets=(target,)), s), s)
+    d = simulate_capture(cfg, Scene(targets=(target,)))
     tau = 2.0 * 30.0 / cfg.wave_speed_mps
     expected_row = np.exp(-2j * np.pi * np.arange(cfg.n_subcarriers)
                           * cfg.subcarrier_spacing_hz * tau)
@@ -97,16 +88,14 @@ def test_csi_divide_identity_and_structure():
         assert np.allclose(d[m], expected_row, atol=1e-10)
 
 
-def test_csi_divide_linearity_and_shape_check():
+def test_capture_superposition():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 2)
-    a = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 2, 1),)), s)
-    b = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 9, -3),)), s)
-    lhs = csi_divide(a + b, s)
-    rhs = csi_divide(a, s) + csi_divide(b, s)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    with pytest.raises(ValueError):
-        csi_divide(a[:, :-1], s)
+    t1 = on_bin_target(cfg, 2, 1)
+    t2 = on_bin_target(cfg, 9, -3)
+    a = simulate_capture(cfg, Scene(targets=(t1,)))
+    b = simulate_capture(cfg, Scene(targets=(t2,)))
+    both = simulate_capture(cfg, Scene(targets=(t1, t2)))
+    assert np.max(np.abs(both - (a + b))) < 1e-12
 
 
 def test_oracle_on_bin_argmax():
@@ -149,34 +138,31 @@ def test_oracle_rejects_noise_and_impairments():
 
 def test_energy_adds_for_distinct_bins():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 3)
     t1 = on_bin_target(cfg, 4, 2)
     t2 = on_bin_target(cfg, 20, -5)
-    e1 = np.sum(np.abs(simulate_capture(cfg, Scene(targets=(t1,)), s)) ** 2)
-    both = np.sum(np.abs(simulate_capture(cfg, Scene(targets=(t1, t2)), s)) ** 2)
+    e1 = np.sum(np.abs(simulate_capture(cfg, Scene(targets=(t1,)))) ** 2)
+    both = np.sum(np.abs(simulate_capture(cfg, Scene(targets=(t1, t2)))) ** 2)
     assert both >= e1 - 1e-9 * e1
 
 
 def test_capture_deterministic():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 1)
     scene = Scene(targets=(on_bin_target(cfg, 3, 1),), snr_db=10.0,
                   impairments=Impairments(phase_jump_step_rad=0.5,
                                           phase_jump_prob=0.3,
                                           phase_drift_std_rad=0.01,
                                           rng_seed=42))
-    assert np.array_equal(simulate_capture(cfg, scene, s),
-                          simulate_capture(cfg, scene, s))
+    assert np.array_equal(simulate_capture(cfg, scene),
+                          simulate_capture(cfg, scene))
 
 
 def test_awgn_matches_requested_snr():
     cfg = wifi_cfg()  # 512 * 32 = 2^14 entries
-    s = generate_ltf_symbols(cfg, 1)
     target = on_bin_target(cfg, 5, 3, gain=2.0)
-    clean = simulate_capture(cfg, Scene(targets=(target,)), s)
+    clean = simulate_capture(cfg, Scene(targets=(target,)))
     noisy = simulate_capture(
         cfg, Scene(targets=(target,), snr_db=12.0,
-                   impairments=Impairments(rng_seed=9)), s)
+                   impairments=Impairments(rng_seed=9)))
     noise_power = np.mean(np.abs(noisy - clean) ** 2)
     measured_db = 10.0 * np.log10(abs(target.gain) ** 2 / noise_power)
     assert abs(measured_db - 12.0) < 0.5
@@ -184,11 +170,10 @@ def test_awgn_matches_requested_snr():
 
 def test_target_bounds_checked():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 1)
     with pytest.raises(ValueError, match="range"):
-        simulate_capture(cfg, Scene(targets=(Target(1e6, 0.0),)), s)
+        simulate_capture(cfg, Scene(targets=(Target(1e6, 0.0),)))
     with pytest.raises(ValueError, match="velocity"):
-        simulate_capture(cfg, Scene(targets=(Target(1.0, 5.0),)), s)
+        simulate_capture(cfg, Scene(targets=(Target(1.0, 5.0),)))
 
 
 def test_scene_validation():
@@ -221,10 +206,9 @@ def test_phase_trace_starts_clean_and_jumps_quantized():
 
 def test_delay_offset_is_subcarrier_ramp():
     cfg = small_cfg()
-    s = generate_ltf_symbols(cfg, 1)
     scene = Scene(targets=(Target(0.0, 0.0, 1.0),),
                   impairments=Impairments(delay_offset_samples=2.5))
-    d = csi_divide(simulate_capture(cfg, scene, s), s)
+    d = simulate_capture(cfg, scene)
     n = np.arange(cfg.n_subcarriers)
     expected = np.exp(-2j * np.pi * n * 2.5 / cfg.n_subcarriers)
     assert np.allclose(d[0], expected, atol=1e-12)

@@ -123,6 +123,33 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, extra, code, message", [
+    (("frame_count = 48", "frame_count = 1"), [], 2, "n_frames must be >= 2"),
+    (("subcarriers = 64", "subcarriers = 1"), [], 2,
+     "n_subcarriers must be >= 2"),
+    (("phase_jump_prob = 0.1", "phase_jump_prob = 2"), [], 2,
+     "phase_jump_prob must be in [0, 1]"),
+    (("1.2, 10.3", "1.0, 10.3"), [], 2, "path covers [0.0, 1.0] s"),
+    (("0, 10.0; 1.2, 10.3", "0, 600, 0; 1.2, 600, 0"), [], 2,
+     "target range 600.0 m outside"),
+    (("snr_db = 20", "snr_db = 20\nseed = -5"), [], 2,
+     "line 7: seed '-5' is negative"),
+    (("", ""), ["--seed", "-1"], 3, "--seed must be non-negative, got -1"),
+])
+def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
+                                            code, message):
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_text(SMALL_SCENARIO.replace(*edit))
+    out = tmp_path / "cap.bin"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out), *extra]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 2:
+        assert f"csisense: scenario {scenario}: " in err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_exits_2(tmp_path):
     assert main(["simulate", "--scenario", "nope",
                  "--out", str(tmp_path / "x.bin")]) == 2

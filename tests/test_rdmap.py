@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csisense.channel import (Impairments, Scene, Target, csi_divide,
-                              oracle_spectrum, simulate_capture,
-                              simulate_trajectory)
+from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
+                              simulate_capture, simulate_trajectory)
 from csisense.rdmap import (Detection, RangeDopplerMap, _local_maxima, _median,
                             _parabolic_offset, detect, doppler_time_profile,
                             estimate_peak, range_doppler, track, window_maps)
 from csisense.sic import remove_dc
-from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
-                               make_config, range_resolution,
-                               unambiguous_limits)
+from csisense.waveform import (doppler_resolution, make_config,
+                               range_resolution, unambiguous_limits)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -24,11 +22,6 @@ WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
 
 def cfg_of(n=32, m=16):
     return make_config(n_subcarriers=n, n_frames=m, **WIFI)
-
-
-def csi_for(cfg, scene, seed=1):
-    s = generate_ltf_symbols(cfg, seed)
-    return csi_divide(simulate_capture(cfg, scene, s), s)
 
 
 def on_bin_target(cfg, range_bin, doppler_bin, gain=1.0):
@@ -137,7 +130,7 @@ def test_fft_argmax_matches_oracle_on_bin(data):
     assert 0.0 <= target.range_m < r_max
     assert abs(target.velocity_mps) < v_max / 2.0
     scene = Scene(targets=(target,))
-    rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="rect")
+    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="rect")
     assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin() \
         == (doppler_bin, range_bin)
 
@@ -160,9 +153,9 @@ def test_axis_scales():
 
 def test_sign_convention_receding_is_positive():
     cfg = cfg_of()
-    d = csi_for(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
+    d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
     assert range_doppler(d, cfg, window_fn="rect").argmax_bin() == (3, 5)
-    d = csi_for(cfg, Scene(targets=(on_bin_target(cfg, 5, -3),)))
+    d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, -3),)))
     assert range_doppler(d, cfg, window_fn="rect").argmax_bin() == (-3, 5)
 
 
@@ -170,7 +163,7 @@ def test_pipeline_argmax_matches_oracle_two_targets():
     cfg = cfg_of()
     scene = Scene(targets=(on_bin_target(cfg, 4, 2),
                            on_bin_target(cfg, 20, -5, gain=0.5)))
-    rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="rect")
+    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="rect")
     assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin()
 
 
@@ -180,7 +173,8 @@ def test_oracle_equivalence_grid():
     for range_bin in (2, 7, 12, 17, 22):
         for doppler_bin in (-6, -3, 1, 4, 7):
             scene = Scene(targets=(on_bin_target(cfg, range_bin, doppler_bin),))
-            rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="rect")
+            rdm = range_doppler(simulate_capture(cfg, scene), cfg,
+                                window_fn="rect")
             assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin()
             assert rdm.argmax_bin() == (doppler_bin, range_bin)
 
@@ -212,14 +206,15 @@ def test_estimate_peak_off_grid_sweep():
     for tau_bins in np.linspace(5.0, 6.0, 11):
         scene = Scene(targets=(Target(tau_bins * dr,
                                       3 * doppler_resolution(cfg), 1.0),))
-        rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="hann")
+        rdm = range_doppler(simulate_capture(cfg, scene), cfg,
+                            window_fn="hann")
         r_hat, _, _ = estimate_peak(rdm, rdm.argmax_cell())
         assert abs(r_hat / dr - tau_bins) < 0.1
 
 
 def test_estimate_peak_rejects_non_maximum():
     cfg = cfg_of()
-    d = csi_for(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
+    d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
     rdm = range_doppler(d, cfg, window_fn="hann")
     row, col = rdm.argmax_cell()
     with pytest.raises(ValueError, match="not a local maximum"):
@@ -241,7 +236,8 @@ def test_detect_noise_maps_mostly_empty():
 
 def test_detect_single_peak():
     cfg = cfg_of()
-    d = csi_for(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),), snr_db=20.0))
+    d = simulate_capture(
+        cfg, Scene(targets=(on_bin_target(cfg, 5, 3),), snr_db=20.0))
     rdm = range_doppler(d, cfg, window_fn="hann")
     picks = detect(rdm, threshold_db=12.0, max_targets=4)
     assert len(picks) == 1
@@ -259,7 +255,7 @@ def test_detect_orders_by_power_and_suppresses_neighbors():
     cfg = cfg_of()
     scene = Scene(targets=(on_bin_target(cfg, 4, 2, gain=1.0),
                            on_bin_target(cfg, 20, -5, gain=0.4)))
-    rdm = range_doppler(csi_for(cfg, scene), cfg, window_fn="hann")
+    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="hann")
     picks = detect(rdm, threshold_db=6.0, max_targets=4)
     assert [(p.bin_p, p.bin_l) for p in picks[:2]] == [(2, 4), (-5, 20)]
     assert picks[0].power_db >= picks[1].power_db
@@ -270,7 +266,7 @@ def test_detect_test1_window_velocity_negative():
     scene = Scene(targets=(Target(0.6, -0.075, 1.0),),
                   coupling=Target(0.0, 0.0, 10.0 ** 1.5), snr_db=20.0,
                   impairments=Impairments(rng_seed=4))
-    d = remove_dc(csi_for(cfg, scene))
+    d = remove_dc(simulate_capture(cfg, scene))
     picks = detect(range_doppler(d, cfg, window_fn="hann"), max_targets=1)
     assert len(picks) == 1
     assert picks[0].velocity_mps < 0

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from csisense.channel import Scene, Target, csi_divide, simulate_capture
+from csisense.channel import Scene, Target, simulate_capture
 from csisense.rdmap import range_doppler
 from csisense.sic import remove_dc
-from csisense.waveform import (doppler_resolution, generate_ltf_symbols,
-                               make_config, range_resolution)
+from csisense.waveform import doppler_resolution, make_config, range_resolution
 
 
 def cfg_of(n=32, m=32):
     return make_config(n_subcarriers=n, n_frames=m,
                        subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
                        carrier_freq_hz=6.3e9)
-
-
-def csi_for(cfg, scene, seed=1):
-    s = generate_ltf_symbols(cfg, seed)
-    return csi_divide(simulate_capture(cfg, scene, s), s)
 
 
 def on_bin_mover(cfg, range_bin=5, doppler_bin=3, gain=1.0):
@@ -38,7 +32,7 @@ def test_column_means_zeroed():
 
 def test_on_bin_mover_untouched():
     cfg = cfg_of()
-    d = csi_for(cfg, Scene(targets=(on_bin_mover(cfg),)))
+    d = simulate_capture(cfg, Scene(targets=(on_bin_mover(cfg),)))
     cleaned = remove_dc(d)
     assert np.max(np.abs(cleaned - d)) < 1e-9
 
@@ -46,9 +40,9 @@ def test_on_bin_mover_untouched():
 def test_coupling_removed_mover_preserved():
     cfg = cfg_of()
     mover = on_bin_mover(cfg)
-    alone = csi_for(cfg, Scene(targets=(mover,)))
-    with_coupling = csi_for(cfg, Scene(targets=(mover,),
-                                       coupling=Target(0.0, 0.0, 1000.0)))
+    alone = simulate_capture(cfg, Scene(targets=(mover,)))
+    with_coupling = simulate_capture(
+        cfg, Scene(targets=(mover,), coupling=Target(0.0, 0.0, 1000.0)))
     cleaned = remove_dc(with_coupling)
     map_alone = range_doppler(alone, cfg, window_fn="rect")
     map_clean = range_doppler(cleaned, cfg, window_fn="rect")
@@ -79,7 +73,7 @@ def test_zero_doppler_row_nulled():
     scene = Scene(targets=(on_bin_mover(cfg), Target(100.0, -0.21, 0.7)),
                   coupling=Target(0.0, 0.0, 50.0),
                   clutter=(Target(30.0, 0.0, 2.0),))
-    cleaned = remove_dc(csi_for(cfg, scene))
+    cleaned = remove_dc(simulate_capture(cfg, scene))
     rdm = range_doppler(cleaned, cfg, window_fn="rect")
     zero_row = rdm.n_doppler // 2
     energy = np.sum(rdm.magnitude() ** 2)
@@ -94,7 +88,8 @@ def test_slow_mover_loss_grows_as_doppler_shrinks():
     dv = doppler_resolution(cfg)
     losses = []
     for frac in (0.45, 0.3, 0.2, 0.1):
-        d = csi_for(cfg, Scene(targets=(Target(50.0, frac * dv, 1.0),)))
+        d = simulate_capture(
+            cfg, Scene(targets=(Target(50.0, frac * dv, 1.0),)))
         before = np.max(range_doppler(d, cfg, window_fn="rect").magnitude())
         after = np.max(range_doppler(remove_dc(d), cfg,
                                      window_fn="rect").magnitude())

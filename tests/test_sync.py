@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csisense import sync
-from csisense.channel import Impairments, Scene, Target, csi_divide, simulate_capture
+from csisense.channel import Impairments, Scene, Target, simulate_capture
 from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncParams, align_phases,
                            coarse_delay, compensate_delay, fine_delay,
                            frame_phases, synchronize, time_domain)
-from csisense.waveform import generate_ltf_symbols, make_config
+from csisense.waveform import make_config
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -21,7 +21,6 @@ def cfg_of(n=512, m=32):
 
 def impaired_capture(cfg, offset=0.0, seed=1, jump_step=0.0, jump_prob=0.0,
                      drift=0.0, coupling_db=30.0, snr_db=None):
-    s = generate_ltf_symbols(cfg, 7)
     scene = Scene(
         targets=(Target(0.6, -0.075, 1.0),),
         coupling=Target(0.0, 0.0, 10.0 ** (coupling_db / 20.0)),
@@ -30,31 +29,31 @@ def impaired_capture(cfg, offset=0.0, seed=1, jump_step=0.0, jump_prob=0.0,
                                 phase_jump_step_rad=jump_step,
                                 phase_jump_prob=jump_prob,
                                 phase_drift_std_rad=drift, rng_seed=seed))
-    return csi_divide(simulate_capture(cfg, scene, s), s), s
+    return simulate_capture(cfg, scene)
 
 
 def test_coarse_delay_zero_shift():
     cfg = cfg_of(n=64, m=2)
-    x = time_domain(impaired_capture(cfg)[0])[0]
+    x = time_domain(impaired_capture(cfg))[0]
     assert coarse_delay(x, 16) == 0
 
 
 def test_coarse_delay_circular_shift():
     cfg = cfg_of(n=64, m=2)
-    x = time_domain(impaired_capture(cfg)[0])[0]
+    x = time_domain(impaired_capture(cfg))[0]
     assert coarse_delay(np.roll(x, 3), 16) == 3
 
 
 def test_coarse_delay_exhaustive_shifts():
     cfg = cfg_of(n=64, m=2)
-    x = time_domain(impaired_capture(cfg, seed=9)[0])[0]
+    x = time_domain(impaired_capture(cfg, seed=9))[0]
     for k in range(-16, 17):
         assert coarse_delay(np.roll(x, k), 16) == k
 
 
 def test_coarse_delay_with_coupling_offset():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=2.0)
+    d = impaired_capture(cfg, offset=2.0)
     recv = time_domain(d)[0]
     assert coarse_delay(recv, cfg.n_subcarriers // 4) == 2
 
@@ -71,8 +70,10 @@ def test_coarse_delay_searches_only_within_max_lag():
 def test_coarse_delay_all_zero_input():
     with pytest.raises(ValueError, match="no correlation peak"):
         coarse_delay(np.zeros(32, dtype=complex), 8)
-    # Taps outside the search do not count.
-    with pytest.raises(ValueError, match="no correlation peak"):
+    # Taps outside the search do not count, and the message says so.
+    with pytest.raises(ValueError, match="no correlation peak: no tap "
+                       r"within \+-8 is nonzero; the strongest tap lies "
+                       "beyond max_lag"):
         coarse_delay(np.eye(32, dtype=complex)[9], 8)
 
 
@@ -91,7 +92,7 @@ def test_fine_delay_keeps_coarse_lag_when_upsampling_underflows():
 
 def test_fine_delay_quarter_sample():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=0.25)
+    d = impaired_capture(cfg, offset=0.25)
     recv = time_domain(d)[0]
     coarse = coarse_delay(recv, 16)
     fine = fine_delay(recv, coarse, 16)
@@ -100,7 +101,7 @@ def test_fine_delay_quarter_sample():
 
 def test_fine_delay_integer_offset_near_zero():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=4.0)
+    d = impaired_capture(cfg, offset=4.0)
     recv = time_domain(d)[0]
     fine = fine_delay(recv, 4, 16)
     assert abs(fine) <= 1.0 / 16.0
@@ -108,7 +109,7 @@ def test_fine_delay_integer_offset_near_zero():
 
 def test_fine_delay_unit_factor_is_zero():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=0.4)
+    d = impaired_capture(cfg, offset=0.4)
     recv = time_domain(d)[0]
     assert fine_delay(recv, 0, 1) == 0.0
 
@@ -118,7 +119,7 @@ def test_fine_delay_error_bound_over_fractions():
     cfg = cfg_of(n=128, m=2)
     u = 16
     for offset in (-0.45, -0.13, 0.118, 0.31, 0.49):
-        d, _ = impaired_capture(cfg, offset=offset, coupling_db=40.0)
+        d = impaired_capture(cfg, offset=offset, coupling_db=40.0)
         recv = time_domain(d)[0]
         coarse = coarse_delay(recv, 16)
         fine = fine_delay(recv, coarse, u)
@@ -127,7 +128,7 @@ def test_fine_delay_error_bound_over_fractions():
 
 def test_fine_delay_at_the_largest_factor():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=-1.3)
+    d = impaired_capture(cfg, offset=-1.3)
     recv = time_domain(d)[0]
     coarse = coarse_delay(recv, 16)
     fine = fine_delay(recv, coarse, MAX_UPSAMPLE_FACTOR)
@@ -135,7 +136,8 @@ def test_fine_delay_at_the_largest_factor():
 
 
 def test_compensate_identity():
-    grid = generate_ltf_symbols(cfg_of(n=32, m=4), 3)
+    qpsk = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
+    grid = np.tile(qpsk[np.random.default_rng(3).integers(0, 4, 32)], (4, 1))
     assert np.array_equal(compensate_delay(grid, 0.0), grid)
 
 
@@ -149,7 +151,7 @@ def test_compensate_cancels_ramp():
 
 def test_compensated_coupling_sits_at_bin_zero():
     cfg = cfg_of()
-    d, _ = impaired_capture(cfg, offset=2.25)
+    d = impaired_capture(cfg, offset=2.25)
     synced, report = synchronize(d)
     assert report.effective_lag_samples == pytest.approx(2.25, abs=1.0 / 16.0)
     profile = np.abs(np.fft.ifft(synced, axis=1))
@@ -205,8 +207,8 @@ def test_align_preserves_small_drift():
 def test_align_suppresses_injected_jumps():
     cfg = cfg_of(n=128, m=128)
     drift = 0.02
-    d, _ = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.2,
-                            drift=drift, seed=5)
+    d = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.2,
+                         drift=drift, seed=5)
     aligned, _ = align_phases(d, SyncParams(phase_step_rad=np.pi / 2))
     phases = frame_phases(aligned)
     diffs = np.angle(np.exp(1j * np.diff(phases)))
@@ -215,8 +217,8 @@ def test_align_suppresses_injected_jumps():
 
 def test_align_idempotent():
     cfg = cfg_of(n=64, m=64)
-    d, _ = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.3,
-                            drift=0.01, seed=2)
+    d = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.3,
+                         drift=0.01, seed=2)
     params = SyncParams(phase_step_rad=np.pi / 2)
     once, _ = align_phases(d, params)
     twice, second = align_phases(once, params)
@@ -226,7 +228,7 @@ def test_align_idempotent():
 
 def test_align_preserves_magnitudes_and_quantizes_fixes():
     cfg = cfg_of(n=64, m=64)
-    d, _ = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.4, seed=3)
+    d = impaired_capture(cfg, jump_step=np.pi / 2, jump_prob=0.4, seed=3)
     delta = np.pi / 2
     aligned, report = align_phases(d, SyncParams(phase_step_rad=delta))
     assert np.max(np.abs(np.abs(aligned) - np.abs(d))) < 1e-12
@@ -237,8 +239,8 @@ def test_align_preserves_magnitudes_and_quantizes_fixes():
 def test_end_to_end_sync_stabilizes_reference_bin():
     cfg = cfg_of(n=256, m=64)
     delta = np.pi / 2
-    d, _ = impaired_capture(cfg, offset=3.25, jump_step=delta, jump_prob=0.15,
-                            drift=0.02, seed=8)
+    d = impaired_capture(cfg, offset=3.25, jump_step=delta, jump_prob=0.15,
+                         drift=0.02, seed=8)
     synced, _ = synchronize(d, SyncParams(phase_step_rad=delta))
     profile = np.fft.ifft(synced, axis=1)
     assert np.all(np.argmax(np.abs(profile), axis=1) == 0)
@@ -249,7 +251,7 @@ def test_end_to_end_sync_stabilizes_reference_bin():
 
 def test_sync_report_serializable():
     cfg = cfg_of(n=64, m=8)
-    d, _ = impaired_capture(cfg, offset=1.5)
+    d = impaired_capture(cfg, offset=1.5)
     _, report = synchronize(d)
     doc = report.to_json_dict()
     assert doc["effective_lag_samples"] == pytest.approx(1.5, abs=1.0 / 16.0)
@@ -301,7 +303,7 @@ def near_tie_grid():
 @pytest.mark.parametrize("make_grid", [
     lambda: impaired_capture(cfg_of(n=128, m=16), offset=1.7,
                              jump_step=np.pi / 2, jump_prob=0.3,
-                             seed=4)[0].astype(np.complex64),
+                             seed=4).astype(np.complex64),
     near_tie_grid])
 def test_synchronize_complex64_equals_its_upcast(make_grid):
     single = make_grid()

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
-                               generate_ltf_symbols, make_config,
-                               range_accuracy, range_resolution,
-                               resolution_report, symbol_grid_from_sequence,
-                               unambiguous_limits)
+                               make_config, range_accuracy, range_resolution,
+                               resolution_report, unambiguous_limits)
 
 
 def wifi_config(**overrides):
@@ -54,42 +52,6 @@ def test_make_config_bandwidth_only():
 def test_make_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         wifi_config(**overrides)
-
-
-def test_ltf_deterministic():
-    cfg = wifi_config()
-    a = generate_ltf_symbols(cfg, seed=7)
-    b = generate_ltf_symbols(cfg, seed=7)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, generate_ltf_symbols(cfg, seed=8))
-
-
-def test_ltf_unit_modulus():
-    grid = generate_ltf_symbols(wifi_config(), seed=7)
-    assert np.max(np.abs(np.abs(grid) - 1.0)) < 1e-12
-
-
-def test_ltf_rows_repeat():
-    grid = generate_ltf_symbols(wifi_config(), seed=3)
-    assert np.array_equal(grid[0], grid[5])
-    assert np.array_equal(grid[0], grid[-1])
-
-
-def test_ltf_shape():
-    cfg = wifi_config()
-    assert generate_ltf_symbols(cfg, 0).shape == (32, 512)
-
-
-def test_symbol_grid_from_sequence():
-    cfg = make_config(n_subcarriers=4, n_frames=3, subcarrier_spacing_hz=1.0,
-                      frame_interval_s=1.0, carrier_freq_hz=1.0)
-    grid = symbol_grid_from_sequence(cfg, [1, -1, 1j, -1j])
-    assert grid.shape == (3, 4)
-    assert np.array_equal(grid[0], grid[2])
-    with pytest.raises(ValueError):
-        symbol_grid_from_sequence(cfg, [1, 0, 1, 1])
-    with pytest.raises(ValueError):
-        symbol_grid_from_sequence(cfg, [1, 1, 1])
 
 
 def test_range_resolution_wifi():
