@@ -9,8 +9,8 @@ from .channel import (Impairments, Scene, Target, oracle_spectrum,
                       simulate_capture, simulate_trajectory,
                       trajectory_samples)
 from .rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap, detect,
-                    doppler_time_profile, estimate_peak, range_doppler, track,
-                    window_maps)
+                    doppler_time_profile, estimate_peak, range_doppler,
+                    range_profiles, track, window_maps)
 from .scenarios import Scenario, ScenarioError, load_scenario, simulate_scenario
 from .sic import remove_dc
 from .sync import (SyncParams, SyncReport, align_phases, coarse_delay,
@@ -28,7 +28,8 @@ __all__ = [
     "Scene", "Target", "oracle_spectrum", "simulate_capture",
     "simulate_trajectory", "trajectory_samples", "Detection",
     "DopplerTimeProfile", "RangeDopplerMap", "detect", "doppler_time_profile",
-    "estimate_peak", "range_doppler", "track", "window_maps", "Scenario",
+    "estimate_peak", "range_doppler", "range_profiles", "track",
+    "window_maps", "Scenario",
     "ScenarioError", "load_scenario", "simulate_scenario", "remove_dc",
     "SyncParams", "SyncReport", "align_phases", "coarse_delay",
     "compensate_delay", "fine_delay", "frame_phases", "synchronize",

@@ -2,6 +2,7 @@
 brute-force spectrum oracle used to validate the FFT pipeline."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -109,6 +110,14 @@ def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
         if abs(t.velocity_mps) >= v_max / 2.0:
             raise ValueError(
                 f"target velocity {t.velocity_mps} m/s outside +-{v_max / 2.0}")
+
+
+def _check_gains(gains) -> None:
+    """Each reflector's power |gain|**2 must be a finite float; the noise
+    reference is one of these powers."""
+    for gain in gains:
+        if not math.isfinite(abs(gain) * abs(gain)):
+            raise ValueError(f"reflector gain {gain} has no finite power")
 
 
 def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target],
@@ -265,6 +274,7 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
     _check_bounds(cfg, movers)
     statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
     _check_bounds(cfg, statics)
+    _check_gains([gain] + [t.gain for t in statics])
 
     n = np.arange(cfg.n_subcarriers)
     taus = 2.0 * ranges / cfg.wave_speed_mps

@@ -106,44 +106,54 @@ class DopplerTimeProfile:
         return np.arange(self.values.shape[0]) - self.values.shape[0] // 2
 
 
-def _axis_window(kind: str, length: int) -> np.ndarray:
-    if kind == "rect":
-        return np.ones(length)
-    if kind == "hann":
-        return np.hanning(length)
-    raise ValueError(f"unknown window function {kind!r}")
-
-
 @functools.lru_cache(maxsize=16)
-def _taper(window_fn: str, m_frames: int, n_sub: int) -> np.ndarray:
-    """Read-only frame-by-subcarrier window; cached because every map of a
+def _axis_window(kind: str, length: int) -> np.ndarray:
+    """Read-only taper along one axis; cached because every map of a
     sliding-window run has the same shape."""
-    taper = np.outer(_axis_window(window_fn, m_frames),
-                     _axis_window(window_fn, n_sub))
+    if kind == "rect":
+        taper = np.ones(length)
+    elif kind == "hann":
+        taper = np.hanning(length)
+    else:
+        raise ValueError(f"unknown window function {kind!r}")
     taper.flags.writeable = False
     return taper
 
 
-def range_doppler(grid: np.ndarray, cfg: WaveformConfig,
-                  window_fn: str = "rect",
-                  timestamp_s: float = 0.0) -> RangeDopplerMap:
-    """2D transform of a synchronized, DC-removed CSI window.
+def range_profiles(grid: np.ndarray, window_fn: str = "rect") -> np.ndarray:
+    """Range profile of each frame: the subcarrier taper, then an
+    (unnormalized) inverse DFT over subcarriers, so a return at delay tau
+    peaks at bin tau*B.
 
-    The range axis is an (unnormalized) inverse DFT over subcarriers, so a
-    return at delay tau peaks at bin tau*B; the Doppler axis is a forward
-    DFT over frames, peaking at bin fD*M*T, then center-shifted. Optional
-    per-axis windows are applied before the transforms.
+    The transform acts on the last axis only, so it can run once per frame
+    and its rows be shared by every window that holds the frame.
     """
     grid = np.asarray(grid)
-    if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
+    n_sub = grid.shape[-1]
+    # The unnormalized sum: an on-bin unit exponential peaks at N.
+    profiles = np.fft.ifft(grid * _axis_window(window_fn, n_sub), axis=-1)
+    profiles *= n_sub
+    return profiles
+
+
+def range_doppler(profiles: np.ndarray, cfg: WaveformConfig,
+                  window_fn: str = "rect",
+                  timestamp_s: float = 0.0) -> RangeDopplerMap:
+    """Map of one window of range profiles (``range_profiles`` of a
+    synchronized CSI window, DC-removed before or after that transform).
+
+    The Doppler axis is a forward DFT over frames, peaking at bin fD*M*T,
+    after an optional frame taper; the magnitude is center-shifted so
+    Doppler bin 0 is the middle row. Under rectangular windows an on-bin
+    unit exponential peaks at magnitude M*N.
+    """
+    profiles = np.asarray(profiles)
+    if profiles.ndim != 2 or profiles.shape[0] < 2 or profiles.shape[1] < 2:
         raise ValueError("need a 2-D grid of at least 2x2")
-    m_frames, n_sub = grid.shape
-    tapered = grid * _taper(window_fn, m_frames, n_sub)
-    # The range transform is the unnormalized sum, so an on-bin unit
-    # exponential peaks at magnitude M*N under a rectangular window.
-    range_profiles = np.fft.ifft(tapered, axis=1) * n_sub
-    spectrum = np.fft.fftshift(np.fft.fft(range_profiles, axis=0), axes=0)
-    return RangeDopplerMap.from_config(np.abs(spectrum), cfg, timestamp_s)
+    taper = _axis_window(window_fn, profiles.shape[0])[:, None]
+    spectrum = np.fft.fft(profiles * taper, axis=0)
+    return RangeDopplerMap.from_config(
+        np.fft.fftshift(np.abs(spectrum), axes=0), cfg, timestamp_s)
 
 
 def _parabolic_offset(left: float, center: float, right: float) -> float:
@@ -278,8 +288,12 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     """Yield one range-Doppler map per sliding window, center-timestamped.
 
     Synchronization runs once over the whole capture (the sample-clock
-    offset is constant and phase alignment is sequential); each window is
-    then DC-removed and transformed independently.
+    offset is constant and phase alignment is sequential). The range
+    transform runs once per frame of a chunk of ``window // stride + 1``
+    windows, a span of at most two windows of frames, so memory stays flat
+    in the capture length; each window then slices its profiles, is
+    DC-removed (mean removal commutes with the range transform) and gets
+    its Doppler transform.
     """
     window = window if window is not None else cfg.n_frames
     capture = np.asarray(capture, dtype=complex)
@@ -289,12 +303,18 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     if apply_sync:
         capture, _ = synchronize(capture)
     half = (window - 1) / 2.0
-    for start in starts:
-        block = capture[start:start + window]
-        if apply_sic:
-            block = sic.remove_dc(block)
-        t = (start + half) * cfg.frame_interval_s
-        yield range_doppler(block, cfg, window_fn=window_fn, timestamp_s=t)
+    per_chunk = window // stride + 1
+    for first in range(0, len(starts), per_chunk):
+        chunk = starts[first:first + per_chunk]
+        lo = chunk[0]
+        profiles = range_profiles(capture[lo:chunk[-1] + window], window_fn)
+        for start in chunk:
+            block = profiles[start - lo:start - lo + window]
+            if apply_sic:
+                block = sic.remove_dc(block)
+            t = (start + half) * cfg.frame_interval_s
+            yield range_doppler(block, cfg, window_fn=window_fn,
+                                timestamp_s=t)
 
 
 def track(maps: Iterable[RangeDopplerMap],

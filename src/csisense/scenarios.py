@@ -213,8 +213,12 @@ def simulate_scenario(scenario: Scenario, seed: Optional[int] = None
     rng_seed = seed if seed is not None else scenario.seed
     coupling = None
     if scenario.coupling_gain_db is not None:
-        coupling = Target(0.0, 0.0, scenario.target_gain
-                          * 10.0 ** (scenario.coupling_gain_db / 20.0))
+        try:
+            amplitude = 10.0 ** (scenario.coupling_gain_db / 20.0)
+        except OverflowError:
+            raise ScenarioError(f"coupling_gain_db {scenario.coupling_gain_db}"
+                                " has no finite linear value") from None
+        coupling = Target(0.0, 0.0, scenario.target_gain * amplitude)
     clutter = [Target(r, 0.0, g) for r, g in scenario.clutter]
     try:
         cfg = scenario.config()

@@ -5,25 +5,28 @@ import numpy as np
 
 
 def remove_dc(grid: np.ndarray) -> np.ndarray:
-    """Subtract each subcarrier's mean over frames.
+    """Subtract each column's mean over frames.
 
     Tx/Rx coupling and static clutter are constant across frames, so they
     live entirely in the zero-Doppler component; subtracting the per-column
     complex mean nulls that component while leaving movers on nonzero
-    Doppler bins intact. Subtracting before the range transform equals
-    subtracting per range bin after it, by linearity of the DFT. The mean
-    is taken over the current window only. Movers slower than one Doppler
-    bin lose part of their energy too; that loss is the cost of the
-    cancellation at very low velocities.
+    Doppler bins intact. The columns may be subcarriers or range bins:
+    subtracting before the range transform equals subtracting per range bin
+    after it, by linearity of the DFT. The mean is taken over the current
+    window only. Movers slower than one Doppler bin lose part of their
+    energy too; that loss is the cost of the cancellation at very low
+    velocities. Residue within 32 eps of the largest removed mean is
+    flushed to zero; that scale is the same in either domain.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 2:
         raise ValueError("need a 2-D grid with at least 2 frames")
-    out = grid - np.mean(grid, axis=0, keepdims=True)
+    mean = np.mean(grid, axis=0, keepdims=True)
+    out = grid - mean
     # Cancelling a frame-invariant column leaves summation-order rounding
     # residue (no mean can be exact for every frame count); flush anything
-    # that far below the input scale to true zero so an all-static window
-    # comes out silent instead of as numerical dust.
-    tolerance = 32.0 * np.finfo(float).eps * np.max(np.abs(grid))
+    # that far below the largest removed mean to true zero so an all-static
+    # window comes out silent instead of as numerical dust.
+    tolerance = 32.0 * np.finfo(float).eps * np.max(np.abs(mean))
     out[np.abs(out) <= tolerance] = 0.0
     return out

@@ -10,7 +10,8 @@ import pytest
 from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               simulate_capture)
 from csisense.cli import main
-from csisense.rdmap import doppler_time_profile, range_doppler, window_maps
+from csisense.rdmap import (doppler_time_profile, range_doppler,
+                            range_profiles, window_maps)
 from csisense.sic import remove_dc
 from csisense.sync import SyncParams, align_phases, frame_phases, synchronize
 from csisense.waveform import (doppler_resolution, make_config,
@@ -49,8 +50,9 @@ def test_criterion_2_oracle_equivalence():
     for range_bin, doppler_bin in cases:
         scene = Scene(targets=(Target(range_bin * range_resolution(cfg),
                                       doppler_bin * doppler_resolution(cfg)),))
-        pipeline = range_doppler(simulate_capture(cfg, scene), cfg,
-                                 window_fn="rect")
+        pipeline = range_doppler(
+            range_profiles(simulate_capture(cfg, scene), "rect"), cfg,
+            window_fn="rect")
         if pipeline.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin() \
                 == (doppler_bin, range_bin):
             matches += 1
@@ -120,18 +122,20 @@ def test_criterion_5_sic_invariants():
 
     quiet = Scene(targets=(mover,), coupling=Target(0.0, 0.0, 100.0))
     grid = simulate_capture(cfg, quiet)
-    rdm = range_doppler(remove_dc(grid), cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(remove_dc(grid), "rect"), cfg,
+                        window_fn="rect")
     zero_row = rdm.n_doppler // 2
     bin0_ratio = float(np.sum(rdm.magnitude()[zero_row] ** 2)
                        / np.sum(rdm.magnitude() ** 2))
 
     alone = simulate_capture(cfg, Scene(targets=(mover,)))
-    peak_alone = np.max(range_doppler(alone, cfg, window_fn="rect").magnitude())
+    peak_alone = np.max(range_doppler(range_profiles(alone, "rect"), cfg,
+                                      window_fn="rect").magnitude())
     peak_clean = rdm.magnitude()[zero_row + 6, 5]
     mover_change = abs(peak_clean - peak_alone) / peak_alone
 
     # Fig-4 style scene: the coupling cell must collapse once removal runs.
-    before = range_doppler(grid, cfg, window_fn="rect")
+    before = range_doppler(range_profiles(grid, "rect"), cfg, window_fn="rect")
     cell_before = before.magnitude()[zero_row, 0] ** 2
     cell_after = rdm.magnitude()[zero_row, 0] ** 2
     drop_db = 10.0 * np.log10(cell_before / max(cell_after, 1e-300))

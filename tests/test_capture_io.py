@@ -20,7 +20,7 @@ from csisense.capture_io import (_ENTRY_BYTES, _HEADER, CaptureFormatError,
                                  write_sync_report_json)
 from csisense.channel import Scene, Target, simulate_capture
 from csisense.rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap,
-                            range_doppler)
+                            range_doppler, range_profiles)
 from csisense.scenarios import load_scenario, simulate_scenario
 from csisense.sync import SyncReport
 from csisense.waveform import make_config
@@ -363,7 +363,7 @@ def map_for_export():
                       carrier_freq_hz=6.3e9)
     rng = np.random.default_rng(1)
     grid = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-    return range_doppler(grid, cfg)
+    return range_doppler(range_profiles(grid), cfg)
 
 
 def test_map_csv_layout(tmp_path):

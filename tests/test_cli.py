@@ -135,6 +135,11 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
     (("snr_db = 20", "snr_db = 20\nseed = -5"), [], 2,
      "line 7: seed '-5' is negative"),
     (("", ""), ["--seed", "-1"], 3, "--seed must be non-negative, got -1"),
+    # Finite gains whose power or linear value overflows a float.
+    (("target_gain = 1.0", "target_gain = 1e300"), [], 2,
+     "reflector gain 1e+300 has no finite power"),
+    (("coupling_gain_db = 30", "coupling_gain_db = 8000"), [], 2,
+     "coupling_gain_db 8000.0 has no finite linear value"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from typing import List
 
 import numpy as np
@@ -11,7 +13,8 @@ from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               simulate_capture, simulate_trajectory)
 from csisense.rdmap import (Detection, RangeDopplerMap, _local_maxima, _median,
                             _parabolic_offset, detect, doppler_time_profile,
-                            estimate_peak, range_doppler, track, window_maps)
+                            estimate_peak, range_doppler, range_profiles,
+                            track, window_maps, window_starts)
 from csisense.sic import remove_dc
 from csisense.waveform import (doppler_resolution, make_config,
                                range_resolution, unambiguous_limits)
@@ -34,7 +37,7 @@ def test_single_exponential_hits_one_cell():
     m, n = cfg.n_frames, cfg.n_subcarriers
     mm, nn = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
     grid = np.exp(2j * np.pi * 3 * mm / m) * np.exp(-2j * np.pi * 5 * nn / n)
-    rdm = range_doppler(grid, cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(grid, "rect"), cfg, window_fn="rect")
     assert rdm.argmax_bin() == (3, 5)
     mag = rdm.magnitude()
     row, col = rdm.argmax_cell()
@@ -45,7 +48,7 @@ def test_single_exponential_hits_one_cell():
 
 def test_zero_grid_zero_map():
     cfg = cfg_of()
-    rdm = range_doppler(np.zeros((16, 32), dtype=complex), cfg)
+    rdm = range_doppler(range_profiles(np.zeros((16, 32), dtype=complex)), cfg)
     assert np.all(rdm.values == 0)
 
 
@@ -53,7 +56,7 @@ def test_values_are_the_real_fft_magnitude():
     cfg = cfg_of()
     rng = np.random.default_rng(4)
     grid = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
-    rdm = range_doppler(grid, cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(grid, "rect"), cfg, window_fn="rect")
     spectrum = np.fft.fftshift(
         np.fft.fft(np.fft.ifft(grid, axis=1) * 32, axis=0), axes=0)
     assert rdm.values.dtype == np.float64
@@ -130,7 +133,8 @@ def test_fft_argmax_matches_oracle_on_bin(data):
     assert 0.0 <= target.range_m < r_max
     assert abs(target.velocity_mps) < v_max / 2.0
     scene = Scene(targets=(target,))
-    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(simulate_capture(cfg, scene), "rect"),
+                        cfg, window_fn="rect")
     assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin() \
         == (doppler_bin, range_bin)
 
@@ -138,12 +142,13 @@ def test_fft_argmax_matches_oracle_on_bin(data):
 def test_small_grid_rejected():
     cfg = cfg_of()
     with pytest.raises(ValueError):
-        range_doppler(np.ones((1, 8), dtype=complex), cfg)
+        range_doppler(range_profiles(np.ones((1, 8), dtype=complex)), cfg)
 
 
 def test_axis_scales():
     cfg = cfg_of()
-    rdm = range_doppler(np.ones((cfg.n_frames, cfg.n_subcarriers)), cfg)
+    rdm = range_doppler(
+        range_profiles(np.ones((cfg.n_frames, cfg.n_subcarriers))), cfg)
     assert rdm.range_scale_m == pytest.approx(
         cfg.wave_speed_mps / (2 * cfg.bandwidth_hz), rel=1e-12)
     assert rdm.velocity_scale_mps == pytest.approx(
@@ -154,16 +159,19 @@ def test_axis_scales():
 def test_sign_convention_receding_is_positive():
     cfg = cfg_of()
     d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
-    assert range_doppler(d, cfg, window_fn="rect").argmax_bin() == (3, 5)
+    assert range_doppler(range_profiles(d, "rect"), cfg,
+                         window_fn="rect").argmax_bin() == (3, 5)
     d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, -3),)))
-    assert range_doppler(d, cfg, window_fn="rect").argmax_bin() == (-3, 5)
+    assert range_doppler(range_profiles(d, "rect"), cfg,
+                         window_fn="rect").argmax_bin() == (-3, 5)
 
 
 def test_pipeline_argmax_matches_oracle_two_targets():
     cfg = cfg_of()
     scene = Scene(targets=(on_bin_target(cfg, 4, 2),
                            on_bin_target(cfg, 20, -5, gain=0.5)))
-    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(simulate_capture(cfg, scene), "rect"),
+                        cfg, window_fn="rect")
     assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin()
 
 
@@ -173,8 +181,9 @@ def test_oracle_equivalence_grid():
     for range_bin in (2, 7, 12, 17, 22):
         for doppler_bin in (-6, -3, 1, 4, 7):
             scene = Scene(targets=(on_bin_target(cfg, range_bin, doppler_bin),))
-            rdm = range_doppler(simulate_capture(cfg, scene), cfg,
-                                window_fn="rect")
+            rdm = range_doppler(
+                range_profiles(simulate_capture(cfg, scene), "rect"), cfg,
+                window_fn="rect")
             assert rdm.argmax_bin() == oracle_spectrum(cfg, scene).argmax_bin()
             assert rdm.argmax_bin() == (doppler_bin, range_bin)
 
@@ -183,7 +192,7 @@ def test_parseval_rect_window():
     rng = np.random.default_rng(2)
     cfg = cfg_of()
     grid = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
-    rdm = range_doppler(grid, cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(grid, "rect"), cfg, window_fn="rect")
     map_energy = np.sum(rdm.magnitude() ** 2)
     grid_energy = np.sum(np.abs(grid) ** 2)
     assert map_energy == pytest.approx(16 * 32 * grid_energy, rel=1e-9)
@@ -194,7 +203,7 @@ def test_estimate_peak_symmetric_offset_zero():
     m, n = cfg.n_frames, cfg.n_subcarriers
     mm, nn = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
     grid = np.exp(2j * np.pi * 3 * mm / m) * np.exp(-2j * np.pi * 5 * nn / n)
-    rdm = range_doppler(grid, cfg, window_fn="hann")
+    rdm = range_doppler(range_profiles(grid, "hann"), cfg, window_fn="hann")
     r_hat, v_hat, _ = estimate_peak(rdm, rdm.argmax_cell())
     assert r_hat == pytest.approx(5 * rdm.range_scale_m, abs=1e-9)
     assert v_hat == pytest.approx(3 * rdm.velocity_scale_mps, abs=1e-9)
@@ -206,8 +215,9 @@ def test_estimate_peak_off_grid_sweep():
     for tau_bins in np.linspace(5.0, 6.0, 11):
         scene = Scene(targets=(Target(tau_bins * dr,
                                       3 * doppler_resolution(cfg), 1.0),))
-        rdm = range_doppler(simulate_capture(cfg, scene), cfg,
-                            window_fn="hann")
+        rdm = range_doppler(
+            range_profiles(simulate_capture(cfg, scene), "hann"), cfg,
+            window_fn="hann")
         r_hat, _, _ = estimate_peak(rdm, rdm.argmax_cell())
         assert abs(r_hat / dr - tau_bins) < 0.1
 
@@ -215,7 +225,7 @@ def test_estimate_peak_off_grid_sweep():
 def test_estimate_peak_rejects_non_maximum():
     cfg = cfg_of()
     d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
-    rdm = range_doppler(d, cfg, window_fn="hann")
+    rdm = range_doppler(range_profiles(d, "hann"), cfg, window_fn="hann")
     row, col = rdm.argmax_cell()
     with pytest.raises(ValueError, match="not a local maximum"):
         estimate_peak(rdm, ((row + 4) % rdm.n_doppler, col))
@@ -228,7 +238,8 @@ def test_detect_noise_maps_mostly_empty():
         rng = np.random.default_rng(seed)
         noise = (rng.standard_normal((32, 64))
                  + 1j * rng.standard_normal((32, 64))) / np.sqrt(2.0)
-        rdm = range_doppler(noise, cfg, window_fn="hann")
+        rdm = range_doppler(range_profiles(noise, "hann"), cfg,
+                            window_fn="hann")
         if not detect(rdm, threshold_db=12.0, max_targets=3):
             empty += 1
     assert empty >= 95
@@ -238,7 +249,7 @@ def test_detect_single_peak():
     cfg = cfg_of()
     d = simulate_capture(
         cfg, Scene(targets=(on_bin_target(cfg, 5, 3),), snr_db=20.0))
-    rdm = range_doppler(d, cfg, window_fn="hann")
+    rdm = range_doppler(range_profiles(d, "hann"), cfg, window_fn="hann")
     picks = detect(rdm, threshold_db=12.0, max_targets=4)
     assert len(picks) == 1
     assert (picks[0].bin_p, picks[0].bin_l) == (3, 5)
@@ -247,7 +258,7 @@ def test_detect_single_peak():
 
 def test_detect_empty_map():
     cfg = cfg_of()
-    rdm = range_doppler(np.zeros((16, 32), dtype=complex), cfg)
+    rdm = range_doppler(range_profiles(np.zeros((16, 32), dtype=complex)), cfg)
     assert detect(rdm) == []
 
 
@@ -255,7 +266,8 @@ def test_detect_orders_by_power_and_suppresses_neighbors():
     cfg = cfg_of()
     scene = Scene(targets=(on_bin_target(cfg, 4, 2, gain=1.0),
                            on_bin_target(cfg, 20, -5, gain=0.4)))
-    rdm = range_doppler(simulate_capture(cfg, scene), cfg, window_fn="hann")
+    rdm = range_doppler(range_profiles(simulate_capture(cfg, scene), "hann"),
+                        cfg, window_fn="hann")
     picks = detect(rdm, threshold_db=6.0, max_targets=4)
     assert [(p.bin_p, p.bin_l) for p in picks[:2]] == [(2, 4), (-5, 20)]
     assert picks[0].power_db >= picks[1].power_db
@@ -267,7 +279,8 @@ def test_detect_test1_window_velocity_negative():
                   coupling=Target(0.0, 0.0, 10.0 ** 1.5), snr_db=20.0,
                   impairments=Impairments(rng_seed=4))
     d = remove_dc(simulate_capture(cfg, scene))
-    picks = detect(range_doppler(d, cfg, window_fn="hann"), max_targets=1)
+    picks = detect(range_doppler(range_profiles(d, "hann"), cfg,
+                                 window_fn="hann"), max_targets=1)
     assert len(picks) == 1
     assert picks[0].velocity_mps < 0
 
@@ -435,3 +448,119 @@ def test_window_maps_timestamps_centered():
     assert len(maps) == 3
     assert maps[0].timestamp_s == pytest.approx(3.5 * cfg.frame_interval_s)
     assert maps[1].timestamp_s == pytest.approx(11.5 * cfg.frame_interval_s)
+
+
+# The map path before range profiles were shared between windows, kept as
+# the reference: mean removal on each window's subcarrier grid (flushing
+# residue below 32 eps of the grid's largest magnitude), then a
+# frame-by-subcarrier taper and both transforms per window.
+def _reference_axis_window(kind: str, length: int) -> np.ndarray:
+    if kind == "rect":
+        return np.ones(length)
+    if kind == "hann":
+        return np.hanning(length)
+    raise ValueError(f"unknown window function {kind!r}")
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_taper(window_fn: str, m_frames: int, n_sub: int) -> np.ndarray:
+    taper = np.outer(_reference_axis_window(window_fn, m_frames),
+                     _reference_axis_window(window_fn, n_sub))
+    taper.flags.writeable = False
+    return taper
+
+
+def _reference_remove_dc(grid: np.ndarray) -> np.ndarray:
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.shape[0] < 2:
+        raise ValueError("need a 2-D grid with at least 2 frames")
+    out = grid - np.mean(grid, axis=0, keepdims=True)
+    tolerance = 32.0 * np.finfo(float).eps * np.max(np.abs(grid))
+    out[np.abs(out) <= tolerance] = 0.0
+    return out
+
+
+def _reference_range_doppler(grid: np.ndarray, cfg, window_fn: str = "rect",
+                             timestamp_s: float = 0.0) -> RangeDopplerMap:
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
+        raise ValueError("need a 2-D grid of at least 2x2")
+    m_frames, n_sub = grid.shape
+    tapered = grid * _reference_taper(window_fn, m_frames, n_sub)
+    range_profiles = np.fft.ifft(tapered, axis=1) * n_sub
+    spectrum = np.fft.fftshift(np.fft.fft(range_profiles, axis=0), axes=0)
+    return RangeDopplerMap.from_config(np.abs(spectrum), cfg, timestamp_s)
+
+
+def _reference_window_maps(capture, cfg, window, stride, apply_sic,
+                           window_fn):
+    half = (window - 1) / 2.0
+    for start in window_starts(capture.shape[0], window, stride):
+        block = capture[start:start + window]
+        if apply_sic:
+            block = _reference_remove_dc(block)
+        t = (start + half) * cfg.frame_interval_s
+        yield _reference_range_doppler(block, cfg, window_fn=window_fn,
+                                       timestamp_s=t)
+
+
+@st.composite
+def _window_runs(draw):
+    """(capture, window, stride, static): stride at, below and above the
+    window, and window counts on and off a multiple of the chunk of
+    ``window // stride + 1`` windows."""
+    window = draw(st.integers(2, 12))
+    stride = draw(st.one_of(st.just(window), st.integers(1, window + 3)))
+    n_windows = draw(st.integers(1, 3 * (window // stride + 1) + 1))
+    frames = (window + (n_windows - 1) * stride
+              + draw(st.integers(0, stride - 1)))
+    n_sub = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    static = draw(st.booleans())
+    scale = 10.0 ** rng.uniform(-3, 3)
+    shape = (1 if static else frames, n_sub)
+    rows = scale * (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape))
+    capture = np.broadcast_to(rows, (frames, n_sub)).copy()
+    return capture, window, stride, static
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_window_runs(), window_fn=st.sampled_from(["rect", "hann"]),
+       apply_sic=st.booleans())
+def test_window_maps_match_per_window_reference(run, window_fn, apply_sic):
+    capture, window, stride, static = run
+    cfg = cfg_of(n=capture.shape[1], m=window)
+    got = list(window_maps(capture, cfg, window, stride, apply_sync=False,
+                           apply_sic=apply_sic, window_fn=window_fn))
+    want = list(_reference_window_maps(capture, cfg, window, stride,
+                                       apply_sic, window_fn))
+    assert len(got) == len(want)
+    for new, old in zip(got, want):
+        assert new.timestamp_s == old.timestamp_s
+        top = np.max(old.values)
+        assert np.max(np.abs(new.values - old.values)) <= 1e-12 * top
+        # The argmax cell is defined only where no other cell ties the
+        # maximum to within that tolerance: a Hann window of 3 keeps one
+        # frame (or subcarrier), so every Doppler row (or range column)
+        # then has the same magnitude.
+        if np.count_nonzero(old.values >= top * (1.0 - 2e-12)) == 1:
+            assert new.argmax_cell() == old.argmax_cell()
+        if static and apply_sic:
+            assert not np.any(new.values) and not np.any(old.values)
+
+
+def test_window_maps_memory_stays_flat():
+    # Range profiles are taken per chunk of windows, never for the whole
+    # capture at once.
+    cfg = cfg_of(n=64, m=16)
+    rng = np.random.default_rng(8)
+    cap = rng.standard_normal((2048, 64)) + 1j * rng.standard_normal((2048, 64))
+    tracemalloc.start()
+    try:
+        for _ in window_maps(cap, cfg, 16, 1, apply_sync=False):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap.nbytes / 4

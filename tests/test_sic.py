@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csisense.channel import Scene, Target, simulate_capture
-from csisense.rdmap import range_doppler
+from csisense.rdmap import range_doppler, range_profiles
 from csisense.sic import remove_dc
 from csisense.waveform import doppler_resolution, make_config, range_resolution
 
@@ -44,12 +44,24 @@ def test_coupling_removed_mover_preserved():
     with_coupling = simulate_capture(
         cfg, Scene(targets=(mover,), coupling=Target(0.0, 0.0, 1000.0)))
     cleaned = remove_dc(with_coupling)
-    map_alone = range_doppler(alone, cfg, window_fn="rect")
-    map_clean = range_doppler(cleaned, cfg, window_fn="rect")
+    map_alone = range_doppler(range_profiles(alone, "rect"), cfg,
+                              window_fn="rect")
+    map_clean = range_doppler(range_profiles(cleaned, "rect"), cfg,
+                              window_fn="rect")
     assert map_clean.argmax_bin() == (3, 5)
     peak_alone = np.max(map_alone.magnitude())
     peak_clean = np.max(map_clean.magnitude())
     assert abs(peak_clean - peak_alone) / peak_alone < 1e-6
+
+
+def test_static_scene_silent_in_range_domain():
+    # Mean removal on range profiles must silence a static scene too.
+    cfg = cfg_of(n=64, m=16)
+    scene = Scene(coupling=Target(0.0, 0.0, 100.0),
+                  clutter=(Target(20.0, 0.0, 2.0), Target(5.0, 0.0, 1.0)))
+    profiles = range_profiles(simulate_capture(cfg, scene), "hann")
+    rdm = range_doppler(remove_dc(profiles), cfg, window_fn="hann")
+    assert not np.any(rdm.values)
 
 
 def test_idempotent():
@@ -74,7 +86,7 @@ def test_zero_doppler_row_nulled():
                   coupling=Target(0.0, 0.0, 50.0),
                   clutter=(Target(30.0, 0.0, 2.0),))
     cleaned = remove_dc(simulate_capture(cfg, scene))
-    rdm = range_doppler(cleaned, cfg, window_fn="rect")
+    rdm = range_doppler(range_profiles(cleaned, "rect"), cfg, window_fn="rect")
     zero_row = rdm.n_doppler // 2
     energy = np.sum(rdm.magnitude() ** 2)
     assert np.sum(rdm.magnitude()[zero_row] ** 2) <= 1e-18 * energy
@@ -90,8 +102,9 @@ def test_slow_mover_loss_grows_as_doppler_shrinks():
     for frac in (0.45, 0.3, 0.2, 0.1):
         d = simulate_capture(
             cfg, Scene(targets=(Target(50.0, frac * dv, 1.0),)))
-        before = np.max(range_doppler(d, cfg, window_fn="rect").magnitude())
-        after = np.max(range_doppler(remove_dc(d), cfg,
+        before = np.max(range_doppler(range_profiles(d, "rect"), cfg,
+                                      window_fn="rect").magnitude())
+        after = np.max(range_doppler(range_profiles(remove_dc(d), "rect"), cfg,
                                      window_fn="rect").magnitude())
         losses.append(20.0 * np.log10(before / after))
     assert all(b >= a - 1e-9 for a, b in zip(losses, losses[1:]))

@@ -428,7 +428,7 @@ def _frame_grids(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(grid=_frame_grids(), history_len=st.integers(1, 6),
+@given(grid=_frame_grids(), history_len=st.integers(1, 12),
        delta=st.sampled_from([np.pi / 3, np.pi / 2, np.pi]))
 def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
     params = SyncParams(phase_step_rad=delta, history_len=history_len)
