@@ -48,16 +48,27 @@ class CaptureHeader:
 
 def write_capture(path, cfg: WaveformConfig, frames: np.ndarray) -> int:
     """Write a (frames, subcarriers) array as one capture file; returns the
-    frame count written."""
-    frames = np.asarray(frames, dtype="<c8")
+    frame count written. A sample that is not finite as complex64 raises
+    ``CaptureFormatError`` before the file is opened."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        frames = np.asarray(frames, dtype="<c8")
     if frames.ndim != 2 or frames.shape[1] != cfg.n_subcarriers:
         raise CaptureFormatError(
             f"capture of shape {frames.shape} does not have "
             f"{cfg.n_subcarriers} entries per frame")
+    _check_finite(frames, " as complex64")
     with open(path, "wb") as fh:
         fh.write(_pack_header(cfg, frames.shape[0]))
         fh.write(frames.tobytes())
     return frames.shape[0]
+
+
+def _check_finite(frames: np.ndarray, detail: str = "") -> None:
+    finite = np.isfinite(frames)
+    if not finite.all():
+        index, bad = np.argwhere(~finite)[0]
+        raise CaptureFormatError(
+            f"non-finite sample at frame {index}, subcarrier {bad}{detail}")
 
 
 def _pack_header(cfg: WaveformConfig, n_frames: int) -> bytes:
@@ -99,11 +110,7 @@ def read_capture_array(path) -> Tuple[CaptureHeader, np.ndarray]:
         frames = np.fromfile(fh, dtype="<c8",
                              count=whole * header.n_subcarriers)
     frames = frames.reshape(whole, header.n_subcarriers)
-    finite = np.isfinite(frames)
-    if not finite.all():
-        index, bad = np.argwhere(~finite)[0]
-        raise CaptureFormatError(
-            f"non-finite sample at frame {index}, subcarrier {bad}")
+    _check_finite(frames)
     if whole < header.n_frames:
         raise CaptureFormatError(
             f"truncated at frame {whole}: expected {frame_bytes} bytes, "

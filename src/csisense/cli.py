@@ -158,9 +158,9 @@ def cmd_simulate(args) -> int:
     try:
         cfg, capture, truth = simulate_scenario(load_scenario(args.scenario),
                                                 args.seed)
-    except ScenarioError as exc:
+        frames = capture_io.write_capture(args.out, cfg, capture)
+    except (ScenarioError, CaptureFormatError) as exc:
         raise ScenarioError(f"scenario {args.scenario}: {exc}") from None
-    frames = capture_io.write_capture(args.out, cfg, capture)
     truth_path = args.truth_out or f"{os.path.splitext(args.out)[0]}.truth.csv"
     capture_io.write_ground_truth(truth_path, truth)
     print(f"wrote {frames} frames to {args.out}; truth to {truth_path}")

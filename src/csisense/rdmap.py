@@ -61,16 +61,6 @@ class RangeDopplerMap:
         """Signed Doppler bin index per row."""
         return np.arange(self.n_doppler) - self.n_doppler // 2
 
-    def argmax_cell(self) -> Tuple[int, int]:
-        """(row, col) of the magnitude maximum."""
-        idx = int(np.argmax(self.values))
-        return idx // self.n_range, idx % self.n_range
-
-    def argmax_bin(self) -> Tuple[int, int]:
-        """(doppler bin, range bin) of the magnitude maximum."""
-        row, col = self.argmax_cell()
-        return row - self.n_doppler // 2, col
-
 
 @dataclass(frozen=True)
 class Detection:

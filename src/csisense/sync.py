@@ -3,7 +3,9 @@ frame 0's impulse response, delay compensation, and frame phase alignment
 that removes quantized phase jumps while keeping small drifts."""
 from __future__ import annotations
 
+import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -129,8 +131,8 @@ def compensate_delay(grid: np.ndarray, lag_samples: float) -> np.ndarray:
 
 def _wrap(angle: float) -> float:
     """Wrap to (-pi, pi]."""
-    wrapped = np.mod(angle, 2.0 * np.pi)
-    return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
+    wrapped = angle % (2.0 * math.pi)
+    return wrapped - 2.0 * math.pi if wrapped > math.pi else wrapped
 
 
 def frame_phases(grid: np.ndarray) -> np.ndarray:
@@ -152,6 +154,45 @@ def _circular_mean(angles: np.ndarray) -> float:
     return float(np.angle(vec))
 
 
+# numpy sums up to 64 complex values (128 doubles) in one unrolled block;
+# longer sums split in halves recursively, which _numpy_sum does not mirror.
+_NUMPY_BLOCK = 64
+
+
+def _numpy_sum(values) -> complex:
+    """Sum of at most _NUMPY_BLOCK complex values, bit-identical to numpy's
+    complex ``add.reduce``: below 4 values in order; from 4 on, four
+    interleaved partial sums c_j = x[j] + x[j+4] + ..., combined as
+    (c0 + c1) + (c2 + c3), then the values past the last multiple of 4 in
+    order. numpy adds the block's sum to its identity 0, which turns a -0.0
+    part into +0.0."""
+    n = len(values)
+    if n < 4:
+        total = 0j
+        for x in values:
+            total += x
+        return total
+    c0, c1, c2, c3 = values[0], values[1], values[2], values[3]
+    k = 4
+    while k + 4 <= n:
+        c0 += values[k]
+        c1 += values[k + 1]
+        c2 += values[k + 2]
+        c3 += values[k + 3]
+        k += 4
+    total = (c0 + c1) + (c2 + c3)
+    while k < n:
+        total += values[k]
+        k += 1
+    return total + 0j
+
+
+def _unit(angle: float) -> complex:
+    """np.exp(1j * angle) bit for bit: numpy forms 1j * angle as a complex
+    product whose imaginary part is 0.0 + angle, so -0.0 gives 1+0j."""
+    return cmath.exp(complex(0.0, angle + 0.0))
+
+
 def align_phases(grid: np.ndarray,
                  params: Optional[SyncParams] = None
                  ) -> Tuple[np.ndarray, SyncReport]:
@@ -164,22 +205,46 @@ def align_phases(grid: np.ndarray,
     untouched, so genuine Doppler progression and small drifts survive.
     A frame whose phase is undefined (see ``frame_phases``) takes the
     previous corrected phase, or 0 for frame 0. Magnitudes are never altered.
+
+    Frame phases are measured in one vectorized pass and the fixes applied
+    in one product; only the recursion between them runs per frame, over
+    Python floats and complexes. It gives the same bits as the numpy
+    expressions it replaces: the reference is the angle of the mean of the
+    last ``history_len`` unit vectors, summed in numpy's order (see
+    ``_numpy_sum``) and scaled by 1/n, as ``np.mean`` does; a mean below
+    1e-12 in magnitude (``abs`` is ``hypot``, as in ``np.abs``) keeps the
+    last corrected phase; the angle is ``np.arctan2``, which can differ
+    from ``math.atan2`` in the last bit; and the rounding keeps the sign of
+    a zero, as ``np.round`` does. Above 64 frames of history numpy sums
+    recursively, so the reference comes from ``np.mean`` itself.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid, dtype=complex)
     delta = p.phase_step_rad
+    h = p.history_len
+    exact = h <= _NUMPY_BLOCK
     # A fix never changes its own frame's observed phase, so every phase
     # can be measured before any fix is applied.
     observed = frame_phases(grid).tolist()
-    theta0 = 0.0 if math.isnan(observed[0]) else observed[0]
-    raw, corrected, fixes, refs = [theta0], [theta0], [0.0], [theta0]
+    last = 0.0 if math.isnan(observed[0]) else observed[0]
+    raw, fixes, refs = [last], [0.0], [last]
+    # The last h corrected phases: unit vectors for _numpy_sum, or angles
+    # for _circular_mean.
+    recent = deque([_unit(last) if exact else last], maxlen=h)
     for theta in observed[1:]:
         if math.isnan(theta):
-            theta = corrected[-1]
-        reference = _circular_mean(np.array(corrected[-p.history_len:]))
-        fix = float(np.round(_wrap(reference - theta) / delta) * delta)
+            theta = last
+        if exact:
+            vec = _numpy_sum(recent) * (1.0 / len(recent))
+            reference = (last if abs(vec) < 1e-12
+                         else float(np.arctan2(vec.imag, vec.real)))
+        else:
+            reference = _circular_mean(np.array(recent))
+        steps = _wrap(reference - theta) / delta
+        fix = math.copysign(float(round(steps)), steps) * delta
+        last = _wrap(theta + fix)
+        recent.append(_unit(last) if exact else last)
         raw.append(theta)
-        corrected.append(_wrap(theta + fix))
         fixes.append(fix)
         refs.append(reference)
     report = SyncReport(frame_phases_rad=np.array(raw),

@@ -140,6 +140,9 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
      "reflector gain 1e+300 has no finite power"),
     (("coupling_gain_db = 30", "coupling_gain_db = 8000"), [], 2,
      "coupling_gain_db 8000.0 has no finite linear value"),
+    # Finite samples that overflow the capture file's complex64.
+    (("target_gain = 1.0", "target_gain = 1e100"), [], 2,
+     "non-finite sample at frame 0, subcarrier 0 as complex64"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):

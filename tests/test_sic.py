@@ -18,6 +18,12 @@ def on_bin_mover(cfg, range_bin=5, doppler_bin=3, gain=1.0):
                   doppler_bin * doppler_resolution(cfg), gain)
 
 
+def peak_bin(rdm):
+    """(Doppler bin, range bin) of the map's maximum."""
+    row, col = np.unravel_index(np.argmax(rdm.values), rdm.values.shape)
+    return row - rdm.n_doppler // 2, col
+
+
 def test_constant_grid_removed_entirely():
     grid = np.full((8, 16), 2.0 - 1.0j)
     assert np.all(remove_dc(grid) == 0)
@@ -48,7 +54,7 @@ def test_coupling_removed_mover_preserved():
                               window_fn="rect")
     map_clean = range_doppler(range_profiles(cleaned, "rect"), cfg,
                               window_fn="rect")
-    assert map_clean.argmax_bin() == (3, 5)
+    assert peak_bin(map_clean) == (3, 5)
     peak_alone = np.max(map_alone.magnitude())
     peak_clean = np.max(map_clean.magnitude())
     assert abs(peak_clean - peak_alone) / peak_alone < 1e-6
