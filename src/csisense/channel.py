@@ -67,8 +67,10 @@ class Scene:
     static clutter, noise level, and receiver impairments.
 
     ``snr_db`` is per grid entry, referenced to the strongest non-coupling
-    target; None means noiseless. The coupling entry must sit at zero range
-    and velocity and carry the largest gain magnitude in the scene.
+    target; None means noiseless. Every gain's power |gain|**2 must be a
+    finite float. Clutter must be static. The coupling entry, when present,
+    must sit at zero range and velocity and carry the largest gain magnitude
+    in the scene.
     """
 
     targets: Sequence[Target] = ()
@@ -78,6 +80,12 @@ class Scene:
     impairments: Impairments = field(default_factory=Impairments)
 
     def __post_init__(self):
+        # Targets first: a coupling is scaled from the mover's gain, so an
+        # overflowing mover gain is the one the message names.
+        coupling = (self.coupling,) if self.coupling is not None else ()
+        for t in (*self.targets, *coupling, *self.clutter):
+            if not math.isfinite(abs(t.gain) * abs(t.gain)):
+                raise ValueError(f"reflector gain {t.gain} has no finite power")
         for t in self.clutter:
             if t.velocity_mps != 0.0:
                 raise ValueError("clutter targets must have zero velocity")
@@ -112,14 +120,6 @@ def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
                 f"target velocity {t.velocity_mps} m/s outside +-{v_max / 2.0}")
 
 
-def _check_gains(gains) -> None:
-    """Each reflector's power |gain|**2 must be a finite float; the noise
-    reference is one of these powers."""
-    for gain in gains:
-        if not math.isfinite(abs(gain) * abs(gain)):
-            raise ValueError(f"reflector gain {gain} has no finite power")
-
-
 def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target],
                   frame_indices: np.ndarray) -> np.ndarray:
     """Channel factor sum_k a_k e^{j2pi T fD m} e^{-j2pi n df tau} per frame/bin."""
@@ -152,10 +152,10 @@ def phase_error_trace(imp: Impairments, n_frames: int) -> np.ndarray:
 
 
 def _apply_noise_and_impairments(cfg: WaveformConfig, grid: np.ndarray,
-                                 snr_db: Optional[float], ref_power: float,
-                                 imp: Impairments) -> np.ndarray:
-    if snr_db is not None:
-        sigma2 = ref_power * 10.0 ** (-snr_db / 10.0)
+                                 scene: Scene) -> np.ndarray:
+    imp = scene.impairments
+    if scene.snr_db is not None:
+        sigma2 = scene.noise_reference_power() * 10.0 ** (-scene.snr_db / 10.0)
         rng = np.random.default_rng([int(imp.rng_seed), 2])
         grid = grid + np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
@@ -177,9 +177,7 @@ def simulate_capture(cfg: WaveformConfig, scene: Scene) -> np.ndarray:
     """
     _check_bounds(cfg, scene.reflectors())
     csi = _channel_rows(cfg, scene.reflectors(), np.arange(cfg.n_frames))
-    ref_power = scene.noise_reference_power() if scene.snr_db is not None else 1.0
-    return _apply_noise_and_impairments(
-        cfg, csi, scene.snr_db, ref_power, scene.impairments)
+    return _apply_noise_and_impairments(cfg, csi, scene)
 
 
 def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:
@@ -262,19 +260,20 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
     The mover's delay ramp follows the interpolated per-frame range; its
     Doppler phase accumulates frame by frame from the instantaneous
     velocity, which reduces to the constant-velocity phasor on linear
-    segments. Static coupling/clutter, noise, and impairments are applied
+    segments. The mover's per-frame samples, the coupling, the clutter,
+    ``snr_db`` and the impairments form one ``Scene``, so they follow its
+    rules; static coupling/clutter, noise, and impairments are applied
     exactly as in ``simulate_capture``.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
-    imp = impairments if impairments is not None else Impairments()
     _, ranges, velocities = trajectory_samples(
         path, frame_count, cfg.frame_interval_s)
     movers = [Target(float(r), float(v), gain) for r, v in zip(ranges, velocities)]
-    _check_bounds(cfg, movers)
+    scene = Scene(targets=movers, coupling=coupling, clutter=clutter,
+                  snr_db=snr_db, impairments=impairments or Impairments())
+    _check_bounds(cfg, scene.reflectors())
     statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
-    _check_bounds(cfg, statics)
-    _check_gains([gain] + [t.gain for t in statics])
 
     n = np.arange(cfg.n_subcarriers)
     taus = 2.0 * ranges / cfg.wave_speed_mps
@@ -286,6 +285,4 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
     grid = gain * np.exp(1j * psi)[:, None] * delay_ramps
     if statics:
         grid = grid + _channel_rows(cfg, statics, np.arange(frame_count))
-
-    ref_power = max([abs(gain)] + [abs(t.gain) for t in clutter]) ** 2
-    return _apply_noise_and_impairments(cfg, grid, snr_db, ref_power, imp)
+    return _apply_noise_and_impairments(cfg, grid, scene)

@@ -147,26 +147,21 @@ def frame_phases(grid: np.ndarray) -> np.ndarray:
     return np.where(undefined, np.nan, np.angle(means))
 
 
-def _circular_mean(angles: np.ndarray) -> float:
-    vec = np.mean(np.exp(1j * np.asarray(angles)))
-    if np.abs(vec) < 1e-12:
-        return float(angles[-1])
-    return float(np.angle(vec))
-
-
-# numpy sums up to 64 complex values (128 doubles) in one unrolled block;
-# longer sums split in halves recursively, which _numpy_sum does not mirror.
-_NUMPY_BLOCK = 64
-
-
 def _numpy_sum(values) -> complex:
-    """Sum of at most _NUMPY_BLOCK complex values, bit-identical to numpy's
-    complex ``add.reduce``: below 4 values in order; from 4 on, four
-    interleaved partial sums c_j = x[j] + x[j+4] + ..., combined as
-    (c0 + c1) + (c2 + c3), then the values past the last multiple of 4 in
-    order. numpy adds the block's sum to its identity 0, which turns a -0.0
-    part into +0.0."""
+    """Sum of complex values, bit-identical to numpy's complex ``add.reduce``.
+
+    Up to 64 values numpy sums one unrolled block: below 4 values in order;
+    from 4 on, four interleaved partial sums c_j = x[j] + x[j+4] + ...,
+    combined as (c0 + c1) + (c2 + c3), then the values past the last
+    multiple of 4 in order. Longer sums split at the largest multiple of 4
+    not above half and add the two halves' sums. numpy adds the whole sum
+    to its identity 0, which turns a -0.0 part into +0.0; doing that at
+    every level gives the same bits."""
     n = len(values)
+    if n > 64:
+        values = list(values)
+        half = n // 2 - n // 2 % 4
+        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
     if n < 4:
         total = 0j
         for x in values:
@@ -215,35 +210,28 @@ def align_phases(grid: np.ndarray,
     1e-12 in magnitude (``abs`` is ``hypot``, as in ``np.abs``) keeps the
     last corrected phase; the angle is ``np.arctan2``, which can differ
     from ``math.atan2`` in the last bit; and the rounding keeps the sign of
-    a zero, as ``np.round`` does. Above 64 frames of history numpy sums
-    recursively, so the reference comes from ``np.mean`` itself.
+    a zero, as ``np.round`` does.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid, dtype=complex)
     delta = p.phase_step_rad
-    h = p.history_len
-    exact = h <= _NUMPY_BLOCK
     # A fix never changes its own frame's observed phase, so every phase
     # can be measured before any fix is applied.
     observed = frame_phases(grid).tolist()
     last = 0.0 if math.isnan(observed[0]) else observed[0]
     raw, fixes, refs = [last], [0.0], [last]
-    # The last h corrected phases: unit vectors for _numpy_sum, or angles
-    # for _circular_mean.
-    recent = deque([_unit(last) if exact else last], maxlen=h)
+    # Unit vectors of the last history_len corrected phases.
+    recent = deque([_unit(last)], maxlen=p.history_len)
     for theta in observed[1:]:
         if math.isnan(theta):
             theta = last
-        if exact:
-            vec = _numpy_sum(recent) * (1.0 / len(recent))
-            reference = (last if abs(vec) < 1e-12
-                         else float(np.arctan2(vec.imag, vec.real)))
-        else:
-            reference = _circular_mean(np.array(recent))
+        vec = _numpy_sum(recent) * (1.0 / len(recent))
+        reference = (last if abs(vec) < 1e-12
+                     else float(np.arctan2(vec.imag, vec.real)))
         steps = _wrap(reference - theta) / delta
         fix = math.copysign(float(round(steps)), steps) * delta
         last = _wrap(theta + fix)
-        recent.append(_unit(last) if exact else last)
+        recent.append(_unit(last))
         raw.append(theta)
         fixes.append(fix)
         refs.append(reference)

@@ -189,6 +189,23 @@ def test_scene_validation():
         Scene(coupling=Target(1.0, 0.0, 100.0))
     with pytest.raises(ValueError, match="dominate"):
         Scene(targets=(Target(1.0, 0.1, 5.0),), coupling=Target(0.0, 0.0, 1.0))
+    # The noise reference is a gain's power; it must not overflow.
+    with pytest.raises(ValueError, match="gain 1e\\+300 has no finite power"):
+        Scene(targets=(Target(0.3, 0.1, 1e300),), snr_db=20.0)
+
+
+# simulate_trajectory builds a Scene from its mover samples, so it keeps
+# the same rules.
+@pytest.mark.parametrize("statics, message", [
+    (dict(coupling=Target(1.0, 0.0, 100.0)), "coupling must sit at zero range"),
+    (dict(coupling=Target(0.0, 0.0, 100.0), clutter=(Target(2.0, 0.1, 1.0),)),
+     "clutter targets must have zero velocity"),
+    (dict(coupling=Target(0.0, 0.0, 0.1)), "coupling gain must dominate"),
+])
+def test_simulate_trajectory_keeps_scene_rules(statics, message):
+    cfg = small_cfg()
+    with pytest.raises(ValueError, match=message):
+        simulate_trajectory(cfg, [(0.0, 10.0, 0.0)], cfg.n_frames, **statics)
 
 
 def test_impairments_validation():

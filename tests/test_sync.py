@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csisense import sync
 from csisense.channel import Impairments, Scene, Target, simulate_capture
 from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncParams, align_phases,
                            coarse_delay, compensate_delay, fine_delay,
@@ -337,6 +336,13 @@ def _reference_wrap(angle):
     return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
 
 
+def _reference_circular_mean(angles):
+    vec = np.mean(np.exp(1j * np.asarray(angles)))
+    if np.abs(vec) < 1e-12:
+        return float(angles[-1])
+    return float(np.angle(vec))
+
+
 def _reference_align_phases(grid, p):
     out = np.array(grid, dtype=complex, copy=True)
     n_frames = out.shape[0]
@@ -355,7 +361,8 @@ def _reference_align_phases(grid, p):
     refs = [theta0]
     for m in range(1, n_frames):
         theta = observed(m, corrected[-1])
-        reference = sync._circular_mean(np.array(corrected[-p.history_len:]))
+        reference = _reference_circular_mean(
+            np.array(corrected[-p.history_len:]))
         fix = np.round(_reference_wrap(reference - theta) / delta) * delta
         if fix != 0.0:
             out[m] *= np.exp(1j * fix)
@@ -433,11 +440,18 @@ def _frame_grids(draw):
 
 
 # Half the draws take a history past numpy's 64-value summation block,
-# where align_phases falls back to np.mean.
+# where the sum splits in two. The examples run long enough to fill a
+# history of 129 or 200, whose halves split again.
+_LONG_GRID = np.exp(
+    1j * np.random.default_rng(7).uniform(-np.pi, np.pi, (300, 6)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(grid=_frame_grids(),
        history_len=st.one_of(st.integers(1, 64), st.integers(65, 70)),
        delta=st.sampled_from([np.pi / 3, np.pi / 2, np.pi, 0.1]))
+@example(grid=_LONG_GRID, history_len=129, delta=np.pi / 2)
+@example(grid=_LONG_GRID, history_len=200, delta=0.1)
 def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
     params = SyncParams(phase_step_rad=delta, history_len=history_len)
     expected, expected_arrays = _reference_align_phases(grid, params)
