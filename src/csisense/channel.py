@@ -67,10 +67,10 @@ class Scene:
     static clutter, noise level, and receiver impairments.
 
     ``snr_db`` is per grid entry, referenced to the strongest non-coupling
-    target; None means noiseless. Every gain's power |gain|**2 must be a
-    finite float. Clutter must be static. The coupling entry, when present,
-    must sit at zero range and velocity and carry the largest gain magnitude
-    in the scene.
+    target; None means noiseless. Every gain's power |gain|**2 and the
+    noise factor 10**(-snr_db/10) must be finite floats. Clutter must be
+    static. The coupling entry, when present, must sit at zero range and
+    velocity and carry the largest gain magnitude in the scene.
     """
 
     targets: Sequence[Target] = ()
@@ -86,6 +86,14 @@ class Scene:
         for t in (*self.targets, *coupling, *self.clutter):
             if not math.isfinite(abs(t.gain) * abs(t.gain)):
                 raise ValueError(f"reflector gain {t.gain} has no finite power")
+        if self.snr_db is not None:
+            try:
+                noise_factor = 10.0 ** (-self.snr_db / 10.0)
+            except OverflowError:
+                noise_factor = math.inf
+            if not math.isfinite(noise_factor):
+                raise ValueError(f"snr_db {self.snr_db} has no finite noise "
+                                 "power")
         for t in self.clutter:
             if t.velocity_mps != 0.0:
                 raise ValueError("clutter targets must have zero velocity")
@@ -215,8 +223,8 @@ def trajectory_samples(path: Sequence[Tuple], frame_count: int,
 
     Waypoints are (t, range) or (t, range, velocity) tuples with strictly
     increasing t, covering [0, frame_count * frame_interval]. Range is
-    interpolated linearly; velocity is taken from each segment's starting
-    waypoint when given, otherwise from the segment slope.
+    interpolated linearly; each segment's velocity is that of its starting
+    waypoint when given, otherwise the segment slope.
     """
     if len(path) == 0:
         raise ValueError("empty trajectory path")
@@ -238,10 +246,9 @@ def trajectory_samples(path: Sequence[Tuple], frame_count: int,
     if len(ts) == 1:
         velocities = np.full(frame_count, vs[0] if vs[0] is not None else 0.0)
     else:
-        if all(v is not None for v in vs):
-            segment_v = np.asarray(vs[:-1])
-        else:
-            segment_v = np.diff(rs) / np.diff(ts)
+        slopes = np.diff(rs) / np.diff(ts)
+        segment_v = np.array([s if v is None else v
+                              for v, s in zip(vs[:-1], slopes)])
         seg = np.clip(np.searchsorted(ts, times, side="right") - 1,
                       0, len(segment_v) - 1)
         velocities = segment_v[seg]

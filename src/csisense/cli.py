@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="phase reference history, frames")
     proc.add_argument("--max-lag", type=int,
                       help="coarse delay search half-width (default N/4)")
-    proc.add_argument("--fft-window", choices=rdmap.WINDOW_FUNCTIONS,
-                      default="hann")
     proc.add_argument("--threshold-db", type=finite_float,
                       default=rdmap.DEFAULT_THRESHOLD_DB)
     proc.add_argument("--emit-maps", metavar="DIR",
@@ -178,6 +176,9 @@ def cmd_process(args) -> int:
         history_len=args.history, max_lag=args.max_lag)
     header, capture = capture_io.read_capture_array(args.capture)
     rdmap.window_starts(capture.shape[0], args.window, args.stride)
+    if args.max_lag is not None and args.max_lag >= header.n_subcarriers:
+        raise ValueError(f"--max-lag {args.max_lag} must be below the "
+                         f"capture's {header.n_subcarriers} subcarriers")
     try:
         cfg = make_config(
             n_subcarriers=header.n_subcarriers, n_frames=args.window,
@@ -190,7 +191,12 @@ def cmd_process(args) -> int:
             f"capture {args.capture} has an unusable header: {exc}") from None
 
     if not args.no_sync:
-        capture, report = synchronize(capture, params)
+        try:
+            capture, report = synchronize(capture, params)
+        except ValueError as exc:
+            # The arguments are already checked, so the capture is at fault.
+            raise CaptureFormatError(
+                f"capture {args.capture} defeats sync: {exc}") from None
         if args.emit_sync_report:
             capture_io.write_sync_report_json(args.emit_sync_report, report)
 
@@ -199,7 +205,7 @@ def cmd_process(args) -> int:
     def maps():
         return rdmap.window_maps(
             capture, cfg, args.window, args.stride, apply_sync=False,
-            apply_sic=not args.no_sic, window_fn=args.fft_window)
+            apply_sic=not args.no_sic)
 
     detections = rdmap.track(maps(), threshold_db=args.threshold_db)
     if args.out:

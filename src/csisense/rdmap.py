@@ -13,7 +13,6 @@ from . import sic
 from .sync import synchronize
 from .waveform import WaveformConfig
 
-WINDOW_FUNCTIONS = ("rect", "hann")
 # Peak-over-median-floor detection threshold, dB.
 DEFAULT_THRESHOLD_DB = 12.0
 
@@ -185,18 +184,6 @@ def estimate_peak(rdm: RangeDopplerMap,
     return range_m, velocity, power_db
 
 
-def _local_maxima(mag: np.ndarray) -> np.ndarray:
-    """Boolean mask of cells >= all 8 neighbors (circular on both axes)."""
-    rows, cols = mag.shape
-    padded = np.pad(mag, 1, mode="wrap")
-    mask = np.ones_like(mag, dtype=bool)
-    for dr in range(3):
-        for dc in range(3):
-            if dr != 1 or dc != 1:
-                mask &= mag >= padded[dr:dr + rows, dc:dc + cols]
-    return mask
-
-
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a NaN-free array from one partition: numpy's own
     median partitions at two more positions to average and check for NaN."""
@@ -209,53 +196,32 @@ def _median(values: np.ndarray) -> float:
 
 
 def detect(rdm: RangeDopplerMap,
-           threshold_db: float = DEFAULT_THRESHOLD_DB,
-           max_targets: int = 5) -> List[Detection]:
-    """Greedy local-maxima picking above the noise floor.
+           threshold_db: float = DEFAULT_THRESHOLD_DB) -> Optional[Detection]:
+    """The map's strongest return, or None when it is not far enough above
+    the noise floor.
 
-    The floor is the median map magnitude; candidates must exceed it by
-    ``threshold_db``. The first pick is the map's global maximum (the
-    first one in row-major order on a tie); later picks descend by power
-    over the local maxima, each pick suppressing its 3x3 neighborhood.
-    Picks are refined by sub-bin interpolation. Reported power is dB above
-    the floor. A map holding NaN yields no picks.
+    The pick is the map's global maximum (the first one in row-major order
+    on a tie), refined by sub-bin interpolation. The floor is the median map
+    magnitude; the peak must exceed it by ``threshold_db``. Reported power
+    is dB above the floor. A map holding NaN yields no pick.
     """
     mag = rdm.values
     flat = int(np.argmax(mag))
     peak = mag.flat[flat]
     # A NaN peak fails this too: argmax returns the first NaN.
-    if max_targets < 1 or not peak > 0.0:
-        return []
+    if not peak > 0.0:
+        return None
     floor = _median(mag)
     if floor <= 0.0:
         floor = float(peak) * 1e-9
-    if floor <= 0.0:
-        return []
-    threshold = floor * 10.0 ** (threshold_db / 20.0)
-    # The global maximum is a local maximum, so if it misses the threshold
-    # no cell passes.
-    if not peak >= threshold:
-        return []
-    floor_db = 20.0 * math.log10(floor)
-    available = None
-    picks: List[Detection] = []
-    while True:
-        row, col = flat // rdm.n_range, flat % rdm.n_range
-        range_m, velocity, power_db = estimate_peak(rdm, (row, col))
-        picks.append(Detection(
-            time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
-            power_db=power_db - floor_db, bin_l=col,
-            bin_p=row - rdm.n_doppler // 2))
-        if len(picks) == max_targets:
-            return picks
-        if available is None:
-            available = _local_maxima(mag) & (mag >= threshold) & (mag > 0)
-        rows = [(row + dr) % rdm.n_doppler for dr in (-1, 0, 1)]
-        cols = [(col + dc) % rdm.n_range for dc in (-1, 0, 1)]
-        available[np.ix_(rows, cols)] = False
-        if not np.any(available):
-            return picks
-        flat = int(np.argmax(np.where(available, mag, -np.inf)))
+    if floor <= 0.0 or not peak >= floor * 10.0 ** (threshold_db / 20.0):
+        return None
+    row, col = flat // rdm.n_range, flat % rdm.n_range
+    range_m, velocity, power_db = estimate_peak(rdm, (row, col))
+    return Detection(
+        time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
+        power_db=power_db - 20.0 * math.log10(floor), bin_l=col,
+        bin_p=row - rdm.n_doppler // 2)
 
 
 def window_starts(n_frames: int, window: int, stride: int) -> range:
@@ -272,7 +238,7 @@ def window_starts(n_frames: int, window: int, stride: int) -> range:
 
 
 def window_maps(capture: np.ndarray, cfg: WaveformConfig,
-                window: Optional[int] = None, stride: int = 1, *,
+                window: int, stride: int = 1, *,
                 apply_sync: bool = True, apply_sic: bool = True,
                 window_fn: str = "hann") -> Iterator[RangeDopplerMap]:
     """Yield one range-Doppler map per sliding window, center-timestamped.
@@ -285,7 +251,6 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     DC-removed (mean removal commutes with the range transform) and gets
     its Doppler transform.
     """
-    window = window if window is not None else cfg.n_frames
     capture = np.asarray(capture, dtype=complex)
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
@@ -309,14 +274,10 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
 
 def track(maps: Iterable[RangeDopplerMap],
           threshold_db: float = DEFAULT_THRESHOLD_DB) -> List[Detection]:
-    """Strongest detection per map (e.g. from ``window_maps``); maps with
-    nothing above threshold simply contribute no detection."""
-    detections: List[Detection] = []
-    for rdm in maps:
-        picks = detect(rdm, threshold_db=threshold_db, max_targets=1)
-        if picks:
-            detections.append(picks[0])
-    return detections
+    """Detection per map (e.g. from ``window_maps``); maps with nothing
+    above threshold simply contribute no detection."""
+    picks = (detect(rdm, threshold_db=threshold_db) for rdm in maps)
+    return [pick for pick in picks if pick is not None]
 
 
 def doppler_time_profile(maps: Iterable[RangeDopplerMap]

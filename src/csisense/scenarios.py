@@ -65,11 +65,13 @@ class Scenario:
     """Parsed simulation description."""
 
     n_subcarriers: int
-    subcarrier_spacing_hz: float
     frame_interval_s: float
     carrier_freq_hz: float
     frame_count: int
     path: List[Tuple[float, ...]]
+    # One or both; make_config derives the other and checks they agree.
+    subcarrier_spacing_hz: Optional[float] = None
+    bandwidth_hz: Optional[float] = None
     wave_speed_mps: float = SPEED_OF_LIGHT
     snr_db: Optional[float] = None
     target_gain: float = 1.0
@@ -85,6 +87,7 @@ class Scenario:
         return make_config(
             n_subcarriers=self.n_subcarriers, n_frames=self.frame_count,
             subcarrier_spacing_hz=self.subcarrier_spacing_hz,
+            bandwidth_hz=self.bandwidth_hz,
             frame_interval_s=self.frame_interval_s,
             carrier_freq_hz=self.carrier_freq_hz,
             wave_speed_mps=self.wave_speed_mps)
@@ -133,6 +136,7 @@ _INT_KEYS = {"subcarriers": "n_subcarriers", "frame_count": "frame_count",
 
 _FLOAT_KEYS = {
     "spacing_hz": "subcarrier_spacing_hz",
+    "bandwidth_hz": "bandwidth_hz",
     "frame_interval_s": "frame_interval_s",
     "carrier_freq_hz": "carrier_freq_hz",
     "wave_speed_mps": "wave_speed_mps",
@@ -160,8 +164,6 @@ def parse_scenario(text: str) -> Scenario:
                 values[_INT_KEYS[key]] = _integer(value)
                 if key == "seed" and values["seed"] < 0:
                     raise ValueError(f"seed {value!r} is negative")
-            elif key == "bandwidth_hz":
-                values["bandwidth_hz"] = finite_float(value)
             elif key == "snr_db":
                 values["snr_db"] = (None if value.lower() == "none"
                                     else finite_float(value))
@@ -176,14 +178,11 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
 
-    bandwidth = values.pop("bandwidth_hz", None)
-    if bandwidth is not None and "subcarrier_spacing_hz" not in values:
-        if "n_subcarriers" not in values:
-            raise ScenarioError("bandwidth_hz needs subcarriers")
-        values["subcarrier_spacing_hz"] = bandwidth / values["n_subcarriers"]
-    missing = [k for k in ("n_subcarriers", "subcarrier_spacing_hz",
-                           "frame_interval_s", "carrier_freq_hz",
-                           "frame_count", "path") if k not in values]
+    missing = [k for k in ("n_subcarriers", "frame_interval_s",
+                           "carrier_freq_hz", "frame_count", "path")
+               if k not in values]
+    if "subcarrier_spacing_hz" not in values and "bandwidth_hz" not in values:
+        missing.append("spacing_hz or bandwidth_hz")
     if missing:
         raise ScenarioError(f"scenario is missing keys: {', '.join(missing)}")
     return Scenario(**values)

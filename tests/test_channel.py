@@ -192,6 +192,9 @@ def test_scene_validation():
     # The noise reference is a gain's power; it must not overflow.
     with pytest.raises(ValueError, match="gain 1e\\+300 has no finite power"):
         Scene(targets=(Target(0.3, 0.1, 1e300),), snr_db=20.0)
+    # So must the noise power an SNR asks for.
+    with pytest.raises(ValueError, match="snr_db -4000.0 has no finite noise"):
+        Scene(targets=(Target(0.3, 0.1),), snr_db=-4000.0)
 
 
 # simulate_trajectory builds a Scene from its mover samples, so it keeps
@@ -297,4 +300,12 @@ def test_trajectory_explicit_velocity_piecewise():
     path = [(0.0, 0.0, 0.4), (1.0, 0.4, -0.4), (2.0, 0.0, 0.4)]
     times, _, velocities = trajectory_samples(path, 80, 0.025)
     assert velocities[0] == 0.4
+    assert velocities[np.searchsorted(times, 1.01)] == -0.4
+
+
+def test_trajectory_velocity_chosen_per_segment():
+    # Segment 0 states its velocity; segment 1 takes its slope.
+    path = [(0.0, 0.0, 0.1), (1.0, 0.4), (2.0, 0.0)]
+    times, _, velocities = trajectory_samples(path, 80, 0.025)
+    assert velocities[0] == 0.1
     assert velocities[np.searchsorted(times, 1.01)] == -0.4

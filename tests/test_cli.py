@@ -148,6 +148,12 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
      "coupling gain must dominate the scene"),
     (("snr_db = 20", "snr_db = 20\nclutter = 2.0, 100"), [], 2,
      "coupling gain must dominate the scene"),
+    # A finite SNR whose noise power overflows a float.
+    (("snr_db = 20", "snr_db = -4000"), [], 2,
+     "snr_db -4000.0 has no finite noise power"),
+    # A bandwidth that disagrees with subcarriers * spacing.
+    (("spacing_hz = 312.5e3", "spacing_hz = 312.5e3\nbandwidth_hz = 40e6"),
+     [], 2, "inconsistent bandwidth"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):
@@ -185,6 +191,13 @@ def test_process_deterministic(workdir, tmp_path):
     assert main(["process", str(workdir / "cap.bin"), "--window", "16",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (workdir / "det.jsonl").read_bytes()
+
+
+def test_process_stdout_matches_out_file(workdir, capsys):
+    capsys.readouterr()
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (workdir / "det.jsonl").read_bytes()
 
 
 def test_process_emits_reports(workdir, tmp_path):
@@ -318,6 +331,29 @@ def test_process_bad_capture_exits_2(tmp_path):
     bad.write_bytes(b"XXXX" + b"\x00" * 100)
     assert main(["process", str(bad)]) == 2
     assert main(["process", str(tmp_path / "missing.bin")]) == 2
+
+
+def test_process_unsyncable_capture_exits_2(workdir, tmp_path, capsys):
+    raw = bytearray((workdir / "cap.bin").read_bytes())
+    raw[38:38 + 64 * 8] = bytes(64 * 8)  # frame 0 all zero
+    bad = tmp_path / "zero_frame.bin"
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "d.jsonl"
+    assert main(["process", str(bad), "--window", "16",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "received sequence is all zero" in err
+    assert not out.exists()
+
+
+def test_process_max_lag_beyond_capture_exits_3(workdir, tmp_path, capsys):
+    out, report = tmp_path / "d.jsonl", tmp_path / "sync.json"
+    assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--max-lag", "64", "--out", str(out),
+                 "--emit-sync-report", str(report)]) == 3
+    assert "--max-lag 64 must be below the capture's 64 subcarriers" \
+        in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
 
 
 def test_process_truncated_capture_exits_2(workdir, tmp_path):

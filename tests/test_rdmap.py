@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               simulate_capture, simulate_trajectory)
-from csisense.rdmap import (Detection, RangeDopplerMap, _local_maxima, _median,
+from csisense.rdmap import (Detection, RangeDopplerMap, _median,
                             _parabolic_offset, detect, doppler_time_profile,
                             estimate_peak, range_doppler, range_profiles,
                             track, window_maps, window_starts)
@@ -76,7 +76,7 @@ def test_values_are_the_real_fft_magnitude():
 
 
 def reference_local_maxima(mag):
-    """The 16-``np.roll`` neighbor comparison ``_local_maxima`` replaced."""
+    """Cells >= all 8 neighbors (circular on both axes), by 16 ``np.roll``s."""
     mask = np.ones_like(mag, dtype=bool)
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
@@ -108,14 +108,6 @@ def reference_estimate_peak(rdm, cell):
 
 
 MAP_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=7)
-
-
-@settings(max_examples=150, deadline=None)
-@given(hnp.arrays(np.int64, MAP_SHAPES, elements=st.integers(0, 3)))
-def test_local_maxima_matches_roll_reference(levels):
-    # Few levels, so ties and plateaus are common.
-    mag = levels.astype(float)
-    assert np.array_equal(_local_maxima(mag), reference_local_maxima(mag))
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,7 +243,7 @@ def test_detect_noise_maps_mostly_empty():
                  + 1j * rng.standard_normal((32, 64))) / np.sqrt(2.0)
         rdm = range_doppler(range_profiles(noise, "hann"), cfg,
                             window_fn="hann")
-        if not detect(rdm, threshold_db=12.0, max_targets=3):
+        if detect(rdm, threshold_db=12.0) is None:
             empty += 1
     assert empty >= 95
 
@@ -261,16 +253,16 @@ def test_detect_single_peak():
     d = simulate_capture(
         cfg, Scene(targets=(on_bin_target(cfg, 5, 3),), snr_db=20.0))
     rdm = range_doppler(range_profiles(d, "hann"), cfg, window_fn="hann")
-    picks = detect(rdm, threshold_db=12.0, max_targets=4)
-    assert len(picks) == 1
-    assert (picks[0].bin_p, picks[0].bin_l) == (3, 5)
-    assert picks[0].power_db > 12.0
+    pick = detect(rdm, threshold_db=12.0)
+    assert reference_detect(rdm, threshold_db=12.0, max_targets=4) == [pick]
+    assert (pick.bin_p, pick.bin_l) == (3, 5)
+    assert pick.power_db > 12.0
 
 
 def test_detect_empty_map():
     cfg = cfg_of()
     rdm = range_doppler(range_profiles(np.zeros((16, 32), dtype=complex)), cfg)
-    assert detect(rdm) == []
+    assert detect(rdm) is None
 
 
 def test_detect_orders_by_power_and_suppresses_neighbors():
@@ -279,7 +271,9 @@ def test_detect_orders_by_power_and_suppresses_neighbors():
                            on_bin_target(cfg, 20, -5, gain=0.4)))
     rdm = range_doppler(range_profiles(simulate_capture(cfg, scene), "hann"),
                         cfg, window_fn="hann")
-    picks = detect(rdm, threshold_db=6.0, max_targets=4)
+    # detect keeps the strongest; the greedy reference finds the other.
+    picks = reference_detect(rdm, threshold_db=6.0, max_targets=4)
+    assert detect(rdm, threshold_db=6.0) == picks[0]
     assert [(p.bin_p, p.bin_l) for p in picks[:2]] == [(2, 4), (-5, 20)]
     assert picks[0].power_db >= picks[1].power_db
 
@@ -290,17 +284,19 @@ def test_detect_test1_window_velocity_negative():
                   coupling=Target(0.0, 0.0, 10.0 ** 1.5), snr_db=20.0,
                   impairments=Impairments(rng_seed=4))
     d = remove_dc(simulate_capture(cfg, scene))
-    picks = detect(range_doppler(range_profiles(d, "hann"), cfg,
-                                 window_fn="hann"), max_targets=1)
-    assert len(picks) == 1
-    assert picks[0].velocity_mps < 0
+    pick = detect(range_doppler(range_profiles(d, "hann"), cfg,
+                                window_fn="hann"))
+    assert pick is not None
+    assert pick.velocity_mps < 0
 
 
 def reference_detect(rdm: RangeDopplerMap,
                      threshold_db: float = 12.0,
                      max_targets: int = 5) -> List[Detection]:
-    """``detect`` as it was: the ``np.median`` floor, and every pick, the
-    first included, taken from the masked local maxima."""
+    """Greedy multi-pick detection: the ``np.median`` floor, then up to
+    ``max_targets`` picks in descending power from the local maxima above
+    threshold, each suppressing its 3x3 neighborhood. ``detect``'s one pick
+    is its first."""
     mag = rdm.values
     floor = float(np.median(mag))
     if floor <= 0.0:
@@ -308,7 +304,7 @@ def reference_detect(rdm: RangeDopplerMap,
     if floor <= 0.0:
         return []
     threshold = floor * 10.0 ** (threshold_db / 20.0)
-    candidates = _local_maxima(mag) & (mag >= threshold) & (mag > 0)
+    candidates = reference_local_maxima(mag) & (mag >= threshold) & (mag > 0)
     available = candidates.copy()
     floor_db = 20.0 * math.log10(floor)
     picks: List[Detection] = []
@@ -343,12 +339,12 @@ def detection_maps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(detection_maps(), st.floats(0.0, 100.0), st.integers(0, 5))
-def test_detect_matches_greedy_reference(mag, threshold_db, max_targets):
+@given(detection_maps(), st.floats(0.0, 100.0))
+def test_detect_matches_greedy_reference(mag, threshold_db):
     rdm = RangeDopplerMap(values=mag, range_scale_m=0.3,
                           velocity_scale_mps=0.03, timestamp_s=1.5)
-    assert detect(rdm, threshold_db, max_targets) == reference_detect(
-        rdm, threshold_db, max_targets)
+    picks = reference_detect(rdm, threshold_db, max_targets=1)
+    assert detect(rdm, threshold_db) == (picks[0] if picks else None)
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,6 @@ def test_library_use_example_runs():
     assert match, "README has no python block under '## Library use'"
     namespace = {}
     exec(compile(match.group(1), str(README), "exec"), namespace)
-    pick = namespace["picks"][0]
+    pick = namespace["pick"]
     assert pick.range_m == pytest.approx(0.6, abs=0.05)
     assert pick.velocity_mps == pytest.approx(-0.075, abs=0.01)

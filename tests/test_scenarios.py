@@ -87,7 +87,7 @@ carrier_freq_hz = 6.3e9
 frame_count = 8
 path = 0, 1.0
 """)
-    assert sc.subcarrier_spacing_hz == pytest.approx(312.5e3)
+    assert sc.config().subcarrier_spacing_hz == pytest.approx(312.5e3)
 
 
 def test_parse_noiseless_and_comments():
