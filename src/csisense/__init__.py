@@ -16,9 +16,9 @@ from .sic import remove_dc
 from .sync import (SyncParams, SyncReport, align_phases, coarse_delay,
                    compensate_delay, fine_delay, frame_phases, synchronize,
                    time_domain)
-from .waveform import (SPEED_OF_LIGHT, ResolutionReport, WaveformConfig,
-                       doppler_resolution, make_config, range_accuracy,
-                       range_resolution, resolution_report, unambiguous_limits)
+from .waveform import (SPEED_OF_LIGHT, WaveformConfig, doppler_resolution,
+                       make_config, range_accuracy, range_resolution,
+                       unambiguous_limits)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioError", "load_scenario", "simulate_scenario", "remove_dc",
     "SyncParams", "SyncReport", "align_phases", "coarse_delay",
     "compensate_delay", "fine_delay", "frame_phases", "synchronize",
-    "time_domain", "SPEED_OF_LIGHT", "ResolutionReport", "WaveformConfig",
-    "doppler_resolution", "make_config", "range_accuracy",
-    "range_resolution", "resolution_report", "unambiguous_limits",
+    "time_domain", "SPEED_OF_LIGHT", "WaveformConfig", "doppler_resolution",
+    "make_config", "range_accuracy", "range_resolution", "unambiguous_limits",
 ]

@@ -39,11 +39,6 @@ class CaptureHeader:
     carrier_freq_hz: float
     subcarrier_spacing_hz: float
     frame_interval_s: float
-    version: int = FORMAT_VERSION
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.n_subcarriers * self.subcarrier_spacing_hz
 
 
 def write_capture(path, cfg: WaveformConfig, frames: np.ndarray) -> int:
@@ -91,7 +86,7 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
         raise CaptureFormatError("non-positive or non-finite header field")
     return CaptureHeader(n_subcarriers=n_sub, n_frames=n_frames,
                          carrier_freq_hz=f_c, subcarrier_spacing_hz=spacing,
-                         frame_interval_s=interval, version=version)
+                         frame_interval_s=interval)
 
 
 def read_capture_array(path) -> Tuple[CaptureHeader, np.ndarray]:
@@ -180,13 +175,12 @@ def write_ground_truth(path, trajectory: Trajectory) -> None:
 
 def _write_grid_csv(path, corner: str, column_labels: Sequence[float],
                     row_labels: Sequence[float], values: np.ndarray) -> None:
-    """Labelled grid as CSV, one row per row label. ``csv`` writes Python
-    floats with ``repr``, so every number parses back exactly."""
+    """Labelled grid as CSV, one CRLF-ended row per row label. ``str`` of a
+    Python float is its ``repr``, so every number parses back exactly."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner, *column_labels])
+        fh.write(",".join(map(str, (corner, *column_labels))) + "\r\n")
         for label, row in zip(row_labels, values.tolist()):
-            writer.writerow([label, *row])
+            fh.write(",".join(map(str, (label, *row))) + "\r\n")
 
 
 def write_map_csv(path, rdm: RangeDopplerMap) -> None:

@@ -255,14 +255,14 @@ def trajectory_samples(path: Sequence[Tuple], frame_count: int,
     return times, ranges, velocities
 
 
-def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
-                        frame_count: int, *, gain: complex = 1.0 + 0.0j,
+def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple], *,
+                        gain: complex = 1.0 + 0.0j,
                         coupling: Optional[Target] = None,
                         clutter: Sequence[Target] = (),
                         snr_db: Optional[float] = None,
                         impairments: Optional[Impairments] = None
                         ) -> np.ndarray:
-    """CSI stream for one mover following ``path``, shape (frame_count, N).
+    """CSI stream for one mover following ``path``, shape (n_frames, N).
 
     The mover's delay ramp follows the interpolated per-frame range; its
     Doppler phase accumulates frame by frame from the instantaneous
@@ -272,10 +272,8 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
     rules; static coupling/clutter, noise, and impairments are applied
     exactly as in ``simulate_capture``.
     """
-    if frame_count < 1:
-        raise ValueError("frame_count must be >= 1")
     _, ranges, velocities = trajectory_samples(
-        path, frame_count, cfg.frame_interval_s)
+        path, cfg.n_frames, cfg.frame_interval_s)
     movers = [Target(float(r), float(v), gain) for r, v in zip(ranges, velocities)]
     scene = Scene(targets=movers, coupling=coupling, clutter=clutter,
                   snr_db=snr_db, impairments=impairments or Impairments())
@@ -291,5 +289,5 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple],
     psi = np.concatenate([[0.0], np.cumsum(steps[1:])])
     grid = gain * np.exp(1j * psi)[:, None] * delay_ramps
     if statics:
-        grid = grid + _channel_rows(cfg, statics, np.arange(frame_count))
+        grid = grid + _channel_rows(cfg, statics, np.arange(cfg.n_frames))
     return _apply_noise_and_impairments(cfg, grid, scene)

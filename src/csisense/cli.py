@@ -20,7 +20,8 @@ from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
                         load_scenario, simulate_scenario)
 from .sync import MAX_UPSAMPLE_FACTOR, SyncParams, synchronize
-from .waveform import SPEED_OF_LIGHT, make_config, resolution_report
+from .waveform import (SPEED_OF_LIGHT, doppler_resolution, make_config,
+                       range_accuracy, range_resolution, unambiguous_limits)
 
 EXIT_OK = 0
 EXIT_EVAL_FAILED = 1
@@ -135,18 +136,18 @@ def cmd_calc(args) -> int:
     if args.carrier_freq is not None:
         params["carrier_freq_hz"] = args.carrier_freq
     cfg = make_config(wave_speed_mps=args.wave_speed, **params)
-    snr_linear = None
-    if args.snr_db is not None:
-        snr_linear = _db_to_linear("--snr-db", args.snr_db, 10.0)
-    report = resolution_report(cfg, snr_linear)
-    print(f"range_resolution_m = {report.range_resolution_m!r}")
-    print(f"velocity_resolution_mps = {report.velocity_resolution_mps!r}")
-    print(f"max_range_m = {report.max_range_m!r}")
-    print(f"max_velocity_span_mps = {report.max_velocity_mps!r}")
-    print(f"velocity_limits_mps = +-{report.max_velocity_mps / 2.0!r}")
-    if report.range_accuracy_m is not None:
-        print(f"range_accuracy_m = {report.range_accuracy_m!r}"
-              f"  # at {args.snr_db} dB SNR")
+    max_range, velocity_span = unambiguous_limits(cfg)
+    accuracy = None
+    if args.snr_db is not None:  # checked before anything prints
+        accuracy = range_accuracy(
+            cfg, _db_to_linear("--snr-db", args.snr_db, 10.0))
+    print(f"range_resolution_m = {range_resolution(cfg)!r}")
+    print(f"velocity_resolution_mps = {doppler_resolution(cfg)!r}")
+    print(f"max_range_m = {max_range!r}")
+    print(f"max_velocity_span_mps = {velocity_span!r}")
+    print(f"velocity_limits_mps = +-{velocity_span / 2.0!r}")
+    if accuracy is not None:
+        print(f"range_accuracy_m = {accuracy!r}  # at {args.snr_db} dB SNR")
     return EXIT_OK
 
 
@@ -174,6 +175,8 @@ def cmd_process(args) -> int:
     params = SyncParams(
         upsample_factor=args.upsample, phase_step_rad=args.delta,
         history_len=args.history, max_lag=args.max_lag)
+    # Window and stride alone, before the read; the capture length after.
+    rdmap.window_starts(args.window, args.window, args.stride)
     header, capture = capture_io.read_capture_array(args.capture)
     rdmap.window_starts(capture.shape[0], args.window, args.stride)
     if args.max_lag is not None and args.max_lag >= header.n_subcarriers:
@@ -246,6 +249,11 @@ def cmd_eval(args) -> int:
         if not all(map(math.isfinite, (t, range_m, velocity))):
             raise CaptureFormatError(
                 f"detection {index} has a non-finite t/range_m/velocity_mps")
+        # Interpolation would hold the track's end value past its span.
+        if not truth.times_s[0] <= t <= truth.times_s[-1]:
+            raise CaptureFormatError(
+                f"detection {index} at t = {t} s lies outside the truth's "
+                f"span [{truth.times_s[0]}, {truth.times_s[-1]}] s")
         if abs(float(truth.velocity_at(t))) < args.min_true_velocity:
             continue
         range_errors.append(abs(range_m - float(truth.range_at(t))))

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import sic
 from .sync import synchronize
-from .waveform import WaveformConfig
+from .waveform import WaveformConfig, range_resolution
 
 # Peak-over-median-floor detection threshold, dB.
 DEFAULT_THRESHOLD_DB = 12.0
@@ -39,7 +39,7 @@ class RangeDopplerMap:
         bin width follows from the row count (frames per map)."""
         return cls(
             values=values,
-            range_scale_m=cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz),
+            range_scale_m=range_resolution(cfg),
             velocity_scale_mps=cfg.wave_speed_mps / (
                 2.0 * cfg.carrier_freq_hz * values.shape[0]
                 * cfg.frame_interval_s),

@@ -228,9 +228,8 @@ def simulate_scenario(scenario: Scenario, seed: Optional[int] = None
             phase_drift_std_rad=scenario.phase_drift_std_rad,
             rng_seed=rng_seed)
         capture = simulate_trajectory(
-            cfg, scenario.path, scenario.frame_count,
-            gain=scenario.target_gain, coupling=coupling, clutter=clutter,
-            snr_db=scenario.snr_db, impairments=impairments)
+            cfg, scenario.path, gain=scenario.target_gain, coupling=coupling,
+            clutter=clutter, snr_db=scenario.snr_db, impairments=impairments)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     times, ranges, velocities = trajectory_samples(

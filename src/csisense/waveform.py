@@ -66,7 +66,9 @@ def make_config(*, n_subcarriers: int, n_frames: int,
     if subcarrier_spacing_hz is None and bandwidth_hz is None:
         raise ValueError("need subcarrier_spacing_hz or bandwidth_hz")
     if subcarrier_spacing_hz is None:
-        subcarrier_spacing_hz = bandwidth_hz / n_subcarriers
+        # A zero count is WaveformConfig's to reject, not a division fault.
+        subcarrier_spacing_hz = (bandwidth_hz / n_subcarriers
+                                 if n_subcarriers else math.nan)
     if bandwidth_hz is None:
         bandwidth_hz = n_subcarriers * subcarrier_spacing_hz
     return WaveformConfig(
@@ -108,25 +110,3 @@ def range_accuracy(cfg: WaveformConfig, snr_linear: float) -> float:
         raise ValueError("snr_linear must be positive, with 2 * snr_linear "
                          "finite")
     return range_resolution(cfg) / math.sqrt(2.0 * snr_linear)
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    """Closed-form capability numbers for one config."""
-
-    range_resolution_m: float
-    velocity_resolution_mps: float
-    max_range_m: float
-    max_velocity_mps: float          # full span; usable estimates are +-span/2
-    range_accuracy_m: Optional[float] = None
-
-
-def resolution_report(cfg: WaveformConfig,
-                      snr_linear: Optional[float] = None) -> ResolutionReport:
-    r_max, v_max = unambiguous_limits(cfg)
-    acc = range_accuracy(cfg, snr_linear) if snr_linear is not None else None
-    return ResolutionReport(
-        range_resolution_m=range_resolution(cfg),
-        velocity_resolution_mps=doppler_resolution(cfg),
-        max_range_m=r_max, max_velocity_mps=v_max,
-        range_accuracy_m=acc)

@@ -62,7 +62,7 @@ def test_header_fields(tmp_path):
     assert header.subcarrier_spacing_hz == 312500.0
     assert header.frame_interval_s == 0.025
     assert header.carrier_freq_hz == 6.3e9
-    assert header.bandwidth_hz == pytest.approx(160e6)
+    assert header == CaptureHeader(512, 3, 6.3e9, 312500.0, 0.025)
 
 
 def test_empty_stream(tmp_path):

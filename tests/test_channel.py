@@ -208,7 +208,7 @@ def test_scene_validation():
 def test_simulate_trajectory_keeps_scene_rules(statics, message):
     cfg = small_cfg()
     with pytest.raises(ValueError, match=message):
-        simulate_trajectory(cfg, [(0.0, 10.0, 0.0)], cfg.n_frames, **statics)
+        simulate_trajectory(cfg, [(0.0, 10.0, 0.0)], **statics)
 
 
 def test_impairments_validation():
@@ -242,13 +242,13 @@ def test_delay_offset_is_subcarrier_ramp():
 
 def test_trajectory_test1_shape():
     cfg = wifi_cfg(m=156)
-    cap = simulate_trajectory(cfg, [(0.0, 0.6), (3.9, 0.3)], 156)
+    cap = simulate_trajectory(cfg, [(0.0, 0.6), (3.9, 0.3)])
     assert cap.shape == (156, 512)
 
 
 def test_trajectory_constant_path_repeats_frames():
     cfg = small_cfg()
-    cap = simulate_trajectory(cfg, [(0.0, 10.0, 0.0)], cfg.n_frames)
+    cap = simulate_trajectory(cfg, [(0.0, 10.0, 0.0)])
     for m in range(1, cfg.n_frames):
         assert np.allclose(cap[m], cap[0], atol=1e-12)
 
@@ -256,7 +256,7 @@ def test_trajectory_constant_path_repeats_frames():
 def test_trajectory_too_short_rejected():
     cfg = small_cfg()
     with pytest.raises(ValueError, match="path covers"):
-        simulate_trajectory(cfg, [(0.0, 1.0), (0.1, 1.2)], cfg.n_frames)
+        simulate_trajectory(cfg, [(0.0, 1.0), (0.1, 1.2)])
 
 
 def test_trajectory_constant_velocity_matches_static_capture():
@@ -264,8 +264,7 @@ def test_trajectory_constant_velocity_matches_static_capture():
     cfg = small_cfg()
     r0, v = 30.0, 0.05
     duration = cfg.n_frames * cfg.frame_interval_s
-    cap = simulate_trajectory(
-        cfg, [(0.0, r0), (duration, r0 + v * duration)], cfg.n_frames)
+    cap = simulate_trajectory(cfg, [(0.0, r0), (duration, r0 + v * duration)])
     s = np.ones((cfg.n_frames, cfg.n_subcarriers), dtype=complex)
     ref = np.zeros_like(s)
     for m in range(cfg.n_frames):

@@ -67,6 +67,28 @@ def test_calc_bandwidth_only(capsys):
     assert float(values["range_resolution_m"]) == pytest.approx(1.0)
 
 
+_AX211_LINES = """\
+range_resolution_m = 0.936875
+velocity_resolution_mps = 0.029742063492063493
+max_range_m = 479.68
+max_velocity_span_mps = 0.9517460317460318
+velocity_limits_mps = +-0.4758730158730159
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--preset", "wifi-ax211", "--snr-db", "20"], _AX211_LINES
+     + "range_accuracy_m = 0.06624706656241466  # at 20.0 dB SNR\n"),
+    (["--preset", "wifi-ax211"], _AX211_LINES),
+    (["--subcarriers", "37", "--bandwidth", "160e6", "--snr-db", "3"],
+     _AX211_LINES.replace("479.68", "34.664375")
+     + "range_accuracy_m = 0.4689933150067685  # at 3.0 dB SNR\n"),
+])
+def test_calc_stdout_is_pinned(capsys, argv, expected):
+    assert main(["calc", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_calc_invalid_flag_exits_3(capsys):
     assert main(["calc", "--bandwidth", "not-a-number"]) == 3
     assert main(["frobnicate"]) == 3
@@ -87,6 +109,8 @@ def test_calc_non_finite_value_exits_3(capsys, flag, value):
     (["--snr-db", "3080"], "2 * snr_linear finite"),
     (["--frames", "3", "--frame-interval", "1e-320"],
      "velocity resolution is inf"),
+    (["--subcarriers", "0", "--bandwidth", "20e6"],
+     "n_subcarriers must be >= 2"),
 ])
 def test_calc_unrepresentable_value_exits_3(capsys, argv, message):
     assert main(["calc", *argv]) == 3
@@ -154,6 +178,10 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
     # A bandwidth that disagrees with subcarriers * spacing.
     (("spacing_hz = 312.5e3", "spacing_hz = 312.5e3\nbandwidth_hz = 40e6"),
      [], 2, "inconsistent bandwidth"),
+    # No subcarriers to spread a bandwidth over.
+    (("subcarriers = 64\nspacing_hz = 312.5e3",
+      "subcarriers = 0\nbandwidth_hz = 20e6"), [], 2,
+     "n_subcarriers must be >= 2"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):
@@ -301,7 +329,8 @@ def test_process_unrepresentable_threshold_exits_3(workdir, tmp_path,
 
 @pytest.mark.parametrize("argv", [["--upsample", "0"], ["--upsample", "1025"],
                                   ["--history", "0"], ["--max-lag", "0"],
-                                  ["--delta", "0"]])
+                                  ["--delta", "0"], ["--stride", "0"],
+                                  ["--window", "1"]])
 def test_process_bad_sync_argument_exits_3_before_the_read(tmp_path, capsys,
                                                            argv):
     assert main(["process", str(tmp_path / "missing.bin"), *argv]) == 3
@@ -466,6 +495,19 @@ def test_eval_non_finite_detection_exits_2(workdir, tmp_path, capsys, field,
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", str(bad), str(workdir / "cap.truth.csv")]) == 2
     assert "detection 1 has a non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [-0.025, 1.2])
+def test_eval_detection_outside_truth_span_exits_2(workdir, tmp_path, capsys,
+                                                   t):
+    # The truth spans [0, 1.175] s: 48 frames 25 ms apart.
+    lines = (workdir / "det.jsonl").read_text().splitlines()
+    lines[2] = re.sub('"t": [^,]+', f'"t": {t}', lines[2])
+    bad = tmp_path / "late.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", str(bad), str(workdir / "cap.truth.csv")]) == 2
+    assert (f"detection 2 at t = {t} s lies outside the truth's span "
+            "[0.0, 1.175] s") in capsys.readouterr().err
 
 
 def test_process_window_longer_than_capture_exits_3(workdir):

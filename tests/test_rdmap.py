@@ -356,15 +356,12 @@ def test_median_is_numpy_median_bit_for_bit(values):
         np.median(values).tobytes()
 
 
-def path_capture(cfg, frames, path, **kwargs):
-    return simulate_trajectory(cfg, path, frames, **kwargs)
-
-
 def test_track_test1_counts_and_velocity():
     cfg = cfg_of(n=512, m=156)
-    cap = path_capture(cfg, 156, [(0.0, 0.6), (3.9, 0.3)],
-                       coupling=Target(0.0, 0.0, 10.0 ** 1.5), snr_db=20.0,
-                       impairments=Impairments(rng_seed=1))
+    cap = simulate_trajectory(cfg, [(0.0, 0.6), (3.9, 0.3)],
+                              coupling=Target(0.0, 0.0, 10.0 ** 1.5),
+                              snr_db=20.0,
+                              impairments=Impairments(rng_seed=1))
     detections = track(window_maps(cap, cfg, window=32, stride=1))
     assert len(detections) == 125
     mean_v = np.mean([d.velocity_mps for d in detections])
@@ -375,17 +372,17 @@ def test_track_test1_counts_and_velocity():
 
 def test_track_static_scene_detects_nothing():
     cfg = cfg_of(n=64, m=48)
-    cap = path_capture(cfg, 48, [(0.0, 5.0, 0.0)],
-                       coupling=Target(0.0, 0.0, 100.0),
-                       clutter=(Target(20.0, 0.0, 2.0),))
+    cap = simulate_trajectory(cfg, [(0.0, 5.0, 0.0)],
+                              coupling=Target(0.0, 0.0, 100.0),
+                              clutter=(Target(20.0, 0.0, 2.0),))
     assert track(window_maps(cap, cfg, window=16, stride=1)) == []
 
 
 def test_track_stride_timestamps_are_subsequence():
     cfg = cfg_of(n=64, m=64)
-    cap = path_capture(cfg, 64, [(0.0, 10.0), (1.6, 10.48)],
-                       coupling=Target(0.0, 0.0, 50.0), snr_db=25.0,
-                       impairments=Impairments(rng_seed=6))
+    cap = simulate_trajectory(cfg, [(0.0, 10.0), (1.6, 10.48)],
+                              coupling=Target(0.0, 0.0, 50.0), snr_db=25.0,
+                              impairments=Impairments(rng_seed=6))
     t1 = [d.time_s for d in track(window_maps(cap, cfg, window=16, stride=1))]
     t2 = [d.time_s for d in track(window_maps(cap, cfg, window=16, stride=2))]
     assert set(t2) <= set(t1)
@@ -406,8 +403,8 @@ def test_track_and_profile_of_no_maps():
 
 def test_profile_static_scene_concentrates_then_empties():
     cfg = cfg_of(n=64, m=48)
-    cap = path_capture(cfg, 48, [(0.0, 10.0, 0.0)],
-                       coupling=Target(0.0, 0.0, 100.0))
+    cap = simulate_trajectory(cfg, [(0.0, 10.0, 0.0)],
+                              coupling=Target(0.0, 0.0, 100.0))
     raw = doppler_time_profile(window_maps(cap, cfg, window=16, stride=4,
                                            apply_sync=False, apply_sic=False,
                                            window_fn="rect"))
@@ -424,8 +421,8 @@ def test_profile_constant_velocity_single_ridge():
     cfg = cfg_of(n=64, m=64)
     v = 4 * doppler_resolution(make_config(n_subcarriers=64, n_frames=16,
                                            **WIFI))
-    cap = path_capture(cfg, 64, [(0.0, 10.0), (1.6, 10.0 + 1.6 * v)],
-                       coupling=Target(0.0, 0.0, 50.0))
+    cap = simulate_trajectory(cfg, [(0.0, 10.0), (1.6, 10.0 + 1.6 * v)],
+                              coupling=Target(0.0, 0.0, 50.0))
     profile = doppler_time_profile(window_maps(cap, cfg, window=16, stride=4,
                                                apply_sync=False,
                                                window_fn="rect"))
@@ -436,8 +433,8 @@ def test_profile_constant_velocity_single_ridge():
 def test_profile_gesture_alternates_sign():
     cfg = cfg_of(n=64, m=160)
     path = [(0.0, 0.1), (1.0, 0.5), (2.0, 0.1), (3.0, 0.5), (4.0, 0.1)]
-    cap = path_capture(cfg, 160, path, coupling=Target(0.0, 0.0, 50.0),
-                       snr_db=25.0, impairments=Impairments(rng_seed=2))
+    cap = simulate_trajectory(cfg, path, coupling=Target(0.0, 0.0, 50.0),
+                              snr_db=25.0, impairments=Impairments(rng_seed=2))
     profile = doppler_time_profile(window_maps(cap, cfg, window=32, stride=4))
     dominant = profile.doppler_bins()[np.argmax(profile.values, axis=0)]
     velocity = np.where((profile.window_times_s % 2.0) < 1.0, 0.4, -0.4)

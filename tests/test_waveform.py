@@ -3,7 +3,7 @@ import pytest
 
 from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
                                make_config, range_accuracy, range_resolution,
-                               resolution_report, unambiguous_limits)
+                               unambiguous_limits)
 
 
 def wifi_config(**overrides):
@@ -136,13 +136,6 @@ def test_calculators_representation_invariant():
     assert range_resolution(by_spacing) == range_resolution(by_bandwidth)
     assert doppler_resolution(by_spacing) == doppler_resolution(by_bandwidth)
     assert unambiguous_limits(by_spacing) == unambiguous_limits(by_bandwidth)
-
-
-def test_resolution_report():
-    rep = resolution_report(wifi_config(), snr_linear=100.0)
-    assert rep.range_resolution_m == pytest.approx(0.936875)
-    assert rep.range_accuracy_m <= rep.range_resolution_m
-    assert resolution_report(wifi_config()).range_accuracy_m is None
 
 
 def test_config_immutable():
