@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .rdmap import RangeDopplerMap
-from .waveform import WaveformConfig, unambiguous_limits
+from .waveform import WaveformConfig, db_to_linear, unambiguous_limits
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,11 @@ class Scene:
     static clutter, noise level, and receiver impairments.
 
     ``snr_db`` is per grid entry, referenced to the strongest non-coupling
-    target; None means noiseless. Every gain's power |gain|**2 and the
-    noise factor 10**(-snr_db/10) must be finite floats. Clutter must be
-    static. The coupling entry, when present, must sit at zero range and
-    velocity and carry the largest gain magnitude in the scene.
+    target, so a noisy scene needs one; None means noiseless. Every gain's
+    power |gain|**2 and the noise factor 10**(-snr_db/10) must be finite
+    floats. Clutter must be static. The coupling entry, when present, must
+    sit at zero range and velocity and carry the largest gain magnitude in
+    the scene.
     """
 
     targets: Sequence[Target] = ()
@@ -87,13 +88,10 @@ class Scene:
             if not math.isfinite(abs(t.gain) * abs(t.gain)):
                 raise ValueError(f"reflector gain {t.gain} has no finite power")
         if self.snr_db is not None:
-            try:
-                noise_factor = 10.0 ** (-self.snr_db / 10.0)
-            except OverflowError:
-                noise_factor = math.inf
-            if not math.isfinite(noise_factor):
-                raise ValueError(f"snr_db {self.snr_db} has no finite noise "
-                                 "power")
+            db_to_linear("snr_db", self.snr_db, -10.0)
+            if not (self.targets or self.clutter):
+                raise ValueError("snr_db needs a non-coupling reflector as "
+                                 "its reference")
         for t in self.clutter:
             if t.velocity_mps != 0.0:
                 raise ValueError("clutter targets must have zero velocity")
@@ -112,10 +110,7 @@ class Scene:
 
     def noise_reference_power(self) -> float:
         """|gain|^2 of the strongest non-coupling reflector (SNR reference)."""
-        gains = [abs(t.gain) for t in (*self.targets, *self.clutter)]
-        if not gains:
-            raise ValueError("snr reference requires a non-coupling target")
-        return max(gains) ** 2
+        return max(abs(t.gain) for t in (*self.targets, *self.clutter)) ** 2
 
 
 def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
@@ -163,15 +158,29 @@ def _apply_noise_and_impairments(cfg: WaveformConfig, grid: np.ndarray,
                                  scene: Scene) -> np.ndarray:
     imp = scene.impairments
     if scene.snr_db is not None:
-        sigma2 = scene.noise_reference_power() * 10.0 ** (-scene.snr_db / 10.0)
+        sigma2 = scene.noise_reference_power() * db_to_linear(
+            "snr_db", scene.snr_db, -10.0)
         rng = np.random.default_rng([int(imp.rng_seed), 2])
         grid = grid + np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    # A finite but huge impairment overflows its phase to inf or NaN; it is
+    # refused by name instead of reaching the capture.
     if imp.delay_offset_samples != 0.0:
-        grid = grid * _delay_ramp(cfg.n_subcarriers, imp.delay_offset_samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ramp = _delay_ramp(cfg.n_subcarriers, imp.delay_offset_samples)
+        if not np.isfinite(ramp).all():
+            raise ValueError(f"delay_offset_samples {imp.delay_offset_samples}"
+                             " overflows the delay ramp")
+        grid = grid * ramp
     if imp.phase_jump_prob > 0.0 or imp.phase_drift_std_rad > 0.0:
-        phi = phase_error_trace(imp, grid.shape[0])
-        grid = grid * np.exp(1j * phi)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rotation = np.exp(1j * phase_error_trace(imp, grid.shape[0]))
+        if not np.isfinite(rotation).all():
+            raise ValueError(
+                f"phase_jump_step_rad {imp.phase_jump_step_rad} with "
+                f"phase_drift_std_rad {imp.phase_drift_std_rad} overflows "
+                "the phase error")
+        grid = grid * rotation[:, None]
     return grid
 
 

@@ -20,8 +20,9 @@ from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
                         load_scenario, simulate_scenario)
 from .sync import MAX_UPSAMPLE_FACTOR, SyncParams, synchronize
-from .waveform import (SPEED_OF_LIGHT, doppler_resolution, make_config,
-                       range_accuracy, range_resolution, unambiguous_limits)
+from .waveform import (SPEED_OF_LIGHT, db_to_linear, doppler_resolution,
+                       make_config, range_accuracy, range_resolution,
+                       unambiguous_limits)
 
 EXIT_OK = 0
 EXIT_EVAL_FAILED = 1
@@ -44,12 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
     calc = sub.add_parser("calc", help="print resolution/ambiguity/accuracy")
     calc.add_argument("--preset", choices=sorted(PRESET_CONFIGS),
                       help="start from a named parameter set")
-    calc.add_argument("--subcarriers", type=int)
-    calc.add_argument("--frames", type=int)
-    calc.add_argument("--spacing", type=float, help="subcarrier spacing, Hz")
-    calc.add_argument("--bandwidth", type=float, help="total bandwidth, Hz")
-    calc.add_argument("--frame-interval", type=float, help="seconds")
-    calc.add_argument("--carrier-freq", type=float, help="Hz")
+    # Each waveform flag's dest is its make_config keyword.
+    calc.add_argument("--subcarriers", type=int, dest="n_subcarriers")
+    calc.add_argument("--frames", type=int, dest="n_frames")
+    calc.add_argument("--spacing", type=float, dest="subcarrier_spacing_hz",
+                      help="subcarrier spacing, Hz")
+    calc.add_argument("--bandwidth", type=float, dest="bandwidth_hz",
+                      help="total bandwidth, Hz")
+    calc.add_argument("--frame-interval", type=float, dest="frame_interval_s",
+                      help="seconds")
+    calc.add_argument("--carrier-freq", type=float, dest="carrier_freq_hz",
+                      help="Hz")
     calc.add_argument("--wave-speed", type=float, default=SPEED_OF_LIGHT)
     calc.add_argument("--snr-db", type=finite_float,
                       help="also print range accuracy at this SNR")
@@ -108,39 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _db_to_linear(option: str, value_db: float, db_per_decade: float) -> float:
-    """``10 ** (value_db / db_per_decade)``; a value with no finite linear
-    form is an invalid argument (exit 3), not a traceback."""
-    try:
-        return 10.0 ** (value_db / db_per_decade)
-    except OverflowError:
-        raise ValueError(f"{option} {value_db} has no finite linear "
-                         "value") from None
-
-
 def cmd_calc(args) -> int:
-    params = dict(PRESET_CONFIGS[args.preset]) if args.preset else dict(
-        PRESET_CONFIGS["wifi-ax211"])
-    if args.subcarriers is not None:
-        params["n_subcarriers"] = args.subcarriers
-    if args.frames is not None:
-        params["n_frames"] = args.frames
-    if args.spacing is not None:
-        params["subcarrier_spacing_hz"] = args.spacing
-    if args.bandwidth is not None:
-        params["bandwidth_hz"] = args.bandwidth
-        if args.spacing is None:
-            params.pop("subcarrier_spacing_hz", None)
-    if args.frame_interval is not None:
-        params["frame_interval_s"] = args.frame_interval
-    if args.carrier_freq is not None:
-        params["carrier_freq_hz"] = args.carrier_freq
+    params = dict(PRESET_CONFIGS[args.preset or "wifi-ax211"])
+    if args.bandwidth_hz is not None and args.subcarrier_spacing_hz is None:
+        del params["subcarrier_spacing_hz"]  # derived from the bandwidth
+    for key in ("n_subcarriers", "n_frames", "subcarrier_spacing_hz",
+                "bandwidth_hz", "frame_interval_s", "carrier_freq_hz"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     cfg = make_config(wave_speed_mps=args.wave_speed, **params)
     max_range, velocity_span = unambiguous_limits(cfg)
     accuracy = None
     if args.snr_db is not None:  # checked before anything prints
         accuracy = range_accuracy(
-            cfg, _db_to_linear("--snr-db", args.snr_db, 10.0))
+            cfg, db_to_linear("--snr-db", args.snr_db, 10.0))
     print(f"range_resolution_m = {range_resolution(cfg)!r}")
     print(f"velocity_resolution_mps = {doppler_resolution(cfg)!r}")
     print(f"max_range_m = {max_range!r}")
@@ -171,7 +158,7 @@ def cmd_process(args) -> int:
         raise ValueError("--emit-sync-report requires synchronization "
                          "(drop --no-sync)")
     # rdmap.detect applies the threshold as an amplitude ratio.
-    _db_to_linear("--threshold-db", args.threshold_db, 20.0)
+    db_to_linear("--threshold-db", args.threshold_db, 20.0)
     params = SyncParams(
         upsample_factor=args.upsample, phase_step_rad=args.delta,
         history_len=args.history, max_lag=args.max_lag)

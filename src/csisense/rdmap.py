@@ -11,7 +11,7 @@ import numpy as np
 
 from . import sic
 from .sync import synchronize
-from .waveform import WaveformConfig, range_resolution
+from .waveform import WaveformConfig, db_to_linear, range_resolution
 
 # Peak-over-median-floor detection threshold, dB.
 DEFAULT_THRESHOLD_DB = 12.0
@@ -203,7 +203,8 @@ def detect(rdm: RangeDopplerMap,
     The pick is the map's global maximum (the first one in row-major order
     on a tie), refined by sub-bin interpolation. The floor is the median map
     magnitude; the peak must exceed it by ``threshold_db``. Reported power
-    is dB above the floor. A map holding NaN yields no pick.
+    is dB above the floor. A map holding NaN yields no pick; a threshold
+    with no finite linear value raises ``ValueError``.
     """
     mag = rdm.values
     flat = int(np.argmax(mag))
@@ -214,7 +215,8 @@ def detect(rdm: RangeDopplerMap,
     floor = _median(mag)
     if floor <= 0.0:
         floor = float(peak) * 1e-9
-    if floor <= 0.0 or not peak >= floor * 10.0 ** (threshold_db / 20.0):
+    if floor <= 0.0 or not peak >= floor * db_to_linear(
+            "threshold_db", threshold_db, 20.0):
         return None
     row, col = flat // rdm.n_range, flat % rdm.n_range
     range_m, velocity, power_db = estimate_peak(rdm, (row, col))

@@ -9,7 +9,8 @@ import numpy as np
 
 from .capture_io import Trajectory
 from .channel import Impairments, Target, simulate_trajectory, trajectory_samples
-from .waveform import SPEED_OF_LIGHT, WaveformConfig, make_config
+from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
+                       make_config)
 
 
 class ScenarioError(Exception):
@@ -109,43 +110,46 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _parse_path(value: str) -> List[Tuple[float, ...]]:
-    points = []
-    for chunk in value.split(";"):
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise ValueError(f"seed {text!r} is negative")
+    return value
+
+
+def _snr_db(text: str) -> Optional[float]:
+    return None if text.lower() == "none" else finite_float(text)
+
+
+def _entries(text: str, label: str, form: str, sizes: Tuple[int, ...]
+             ) -> List[Tuple[float, ...]]:
+    """``;``-separated entries, each of ``sizes`` ``,``-separated finite
+    numbers; ``label`` and ``form`` name a malformed one."""
+    entries = []
+    for chunk in text.split(";"):
         parts = [p.strip() for p in chunk.split(",") if p.strip()]
-        if len(parts) not in (2, 3):
-            raise ScenarioError(f"path waypoint {chunk!r} needs t,range[,velocity]")
-        points.append(tuple(finite_float(p) for p in parts))
-    if not points:
-        raise ScenarioError("path has no waypoints")
-    return points
+        if len(parts) not in sizes:
+            raise ValueError(f"{label} {chunk!r} needs {form}")
+        entries.append(tuple(finite_float(p) for p in parts))
+    return entries
 
 
-def _parse_clutter(value: str) -> List[Tuple[float, float]]:
-    out = []
-    for chunk in value.split(";"):
-        parts = [p.strip() for p in chunk.split(",") if p.strip()]
-        if len(parts) != 2:
-            raise ScenarioError(f"clutter entry {chunk!r} needs range,gain")
-        out.append((finite_float(parts[0]), finite_float(parts[1])))
-    return out
-
-
-_INT_KEYS = {"subcarriers": "n_subcarriers", "frame_count": "frame_count",
-             "seed": "seed"}
-
-_FLOAT_KEYS = {
-    "spacing_hz": "subcarrier_spacing_hz",
-    "bandwidth_hz": "bandwidth_hz",
-    "frame_interval_s": "frame_interval_s",
-    "carrier_freq_hz": "carrier_freq_hz",
-    "wave_speed_mps": "wave_speed_mps",
-    "target_gain": "target_gain",
-    "coupling_gain_db": "coupling_gain_db",
-    "delay_offset_samples": "delay_offset_samples",
-    "phase_jump_step_rad": "phase_jump_step_rad",
-    "phase_jump_prob": "phase_jump_prob",
-    "phase_drift_std_rad": "phase_drift_std_rad",
+# Scenario file key -> (Scenario field, parser of the value text).
+_KEYS = {
+    "subcarriers": ("n_subcarriers", _integer),
+    "spacing_hz": ("subcarrier_spacing_hz", finite_float),
+    "frame_count": ("frame_count", _integer),
+    "seed": ("seed", _seed),
+    "snr_db": ("snr_db", _snr_db),
+    "path": ("path", lambda text: _entries(
+        text, "path waypoint", "t,range[,velocity]", (2, 3))),
+    "clutter": ("clutter", lambda text: _entries(
+        text, "clutter entry", "range,gain", (2,))),
+    **{key: (key, finite_float) for key in (
+        "bandwidth_hz", "frame_interval_s", "carrier_freq_hz",
+        "wave_speed_mps", "target_gain", "coupling_gain_db",
+        "delay_offset_samples", "phase_jump_step_rad", "phase_jump_prob",
+        "phase_drift_std_rad")},
 }
 
 
@@ -159,22 +163,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        name, parse = _KEYS[key]
         try:
-            if key in _INT_KEYS:
-                values[_INT_KEYS[key]] = _integer(value)
-                if key == "seed" and values["seed"] < 0:
-                    raise ValueError(f"seed {value!r} is negative")
-            elif key == "snr_db":
-                values["snr_db"] = (None if value.lower() == "none"
-                                    else finite_float(value))
-            elif key == "path":
-                values["path"] = _parse_path(value)
-            elif key == "clutter":
-                values["clutter"] = _parse_clutter(value)
-            elif key in _FLOAT_KEYS:
-                values[_FLOAT_KEYS[key]] = finite_float(value)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+            values[name] = parse(value)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from exc
 
@@ -211,15 +204,11 @@ def simulate_scenario(scenario: Scenario, seed: Optional[int] = None
     """
     rng_seed = seed if seed is not None else scenario.seed
     coupling = None
-    if scenario.coupling_gain_db is not None:
-        try:
-            amplitude = 10.0 ** (scenario.coupling_gain_db / 20.0)
-        except OverflowError:
-            raise ScenarioError(f"coupling_gain_db {scenario.coupling_gain_db}"
-                                " has no finite linear value") from None
-        coupling = Target(0.0, 0.0, scenario.target_gain * amplitude)
     clutter = [Target(r, 0.0, g) for r, g in scenario.clutter]
     try:
+        if scenario.coupling_gain_db is not None:
+            coupling = Target(0.0, 0.0, scenario.target_gain * db_to_linear(
+                "coupling_gain_db", scenario.coupling_gain_db, 20.0))
         cfg = scenario.config()
         impairments = Impairments(
             delay_offset_samples=scenario.delay_offset_samples,

@@ -42,7 +42,12 @@ class WaveformConfig:
                 f"inconsistent bandwidth: {self.bandwidth_hz} Hz vs "
                 f"n_subcarriers * spacing = {expected} Hz")
         # Finite inputs can still overflow or underflow the capability
-        # numbers (e.g. a 1e-320 s frame interval gives an infinite span).
+        # numbers (e.g. a 1e-320 s frame interval gives an infinite span,
+        # and a 5e-324 Hz carrier a zero divisor).
+        if 2.0 * self.carrier_freq_hz * self.frame_interval_s == 0.0:
+            raise ValueError(
+                f"carrier_freq_hz {self.carrier_freq_hz!r} * frame_interval_s "
+                f"{self.frame_interval_s!r} underflows to zero")
         max_range, velocity_span = unambiguous_limits(self)
         for name, value in (("range resolution", range_resolution(self)),
                             ("velocity resolution", doppler_resolution(self)),
@@ -78,6 +83,18 @@ def make_config(*, n_subcarriers: int, n_frames: int,
         carrier_freq_hz=float(carrier_freq_hz),
         bandwidth_hz=float(bandwidth_hz),
         wave_speed_mps=float(wave_speed_mps))
+
+
+def db_to_linear(name: str, value_db: float, db_per_decade: float) -> float:
+    """``10 ** (value_db / db_per_decade)``, raising ``ValueError`` that
+    names ``name`` and the value when the result is not a finite float."""
+    try:
+        value = 10.0 ** (value_db / db_per_decade)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value_db} has no finite linear value")
+    return value
 
 
 def range_resolution(cfg: WaveformConfig) -> float:

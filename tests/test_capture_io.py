@@ -280,8 +280,10 @@ def test_ground_truth_interpolation(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("t,range_m,velocity_mps\n"
                     "0,0.6,-0.0769\n"
+                    "\n"  # blank rows are skipped
                     "3.9,0.3,-0.0769\n")
     truth = read_ground_truth(path)
+    assert truth.times_s.tolist() == [0.0, 3.9]
     assert truth.range_at(1.95) == pytest.approx(0.45, abs=1e-12)
     assert truth.velocity_at(2.0) == pytest.approx(-0.0769)
     # clamped outside the covered span
@@ -306,6 +308,12 @@ def test_ground_truth_rejects_disorder_and_bad_header(tmp_path):
         read_ground_truth(path)
     path.write_text("t,range_m,velocity_mps\n1,2\n")
     with pytest.raises(CaptureFormatError, match="3 columns"):
+        read_ground_truth(path)
+    path.write_text("t,range_m,velocity_mps\n0,1,0\n1,x,0\n")
+    with pytest.raises(CaptureFormatError, match="line 3: could not convert"):
+        read_ground_truth(path)
+    path.write_text("t,range_m,velocity_mps\n\n")
+    with pytest.raises(CaptureFormatError, match="no data rows"):
         read_ground_truth(path)
     for bad in ("1,nan,0", "nan,1,0", "1,2,inf", "1,2,-inf"):
         path.write_text(f"t,range_m,velocity_mps\n0,1,0\n{bad}\n")
@@ -482,6 +490,8 @@ def test_detections_jsonl_round_trip(tmp_path):
     assert rows[0] == {"t": 0.5, "range_m": 1.25, "velocity_mps": -0.07,
                        "power_db": 21.5, "bin_l": 1, "bin_p": -2}
     assert len(rows) == 2
+    path.write_text("\n" + path.read_text() + "\n  \n")
+    assert read_detections_jsonl(path) == rows
     path.write_text("not json\n")
     with pytest.raises(CaptureFormatError):
         read_detections_jsonl(path)

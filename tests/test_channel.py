@@ -193,8 +193,12 @@ def test_scene_validation():
     with pytest.raises(ValueError, match="gain 1e\\+300 has no finite power"):
         Scene(targets=(Target(0.3, 0.1, 1e300),), snr_db=20.0)
     # So must the noise power an SNR asks for.
-    with pytest.raises(ValueError, match="snr_db -4000.0 has no finite noise"):
+    with pytest.raises(ValueError,
+                       match="snr_db -4000.0 has no finite linear value"):
         Scene(targets=(Target(0.3, 0.1),), snr_db=-4000.0)
+    # An SNR is referenced to a non-coupling reflector, so it needs one.
+    with pytest.raises(ValueError, match="non-coupling reflector"):
+        Scene(coupling=Target(0.0, 0.0, 10.0), snr_db=20.0)
 
 
 # simulate_trajectory builds a Scene from its mover samples, so it keeps

@@ -111,6 +111,8 @@ def test_calc_non_finite_value_exits_3(capsys, flag, value):
      "velocity resolution is inf"),
     (["--subcarriers", "0", "--bandwidth", "20e6"],
      "n_subcarriers must be >= 2"),
+    (["--carrier-freq", "4.9e-324"],
+     "carrier_freq_hz 5e-324 * frame_interval_s 0.025 underflows to zero"),
 ])
 def test_calc_unrepresentable_value_exits_3(capsys, argv, message):
     assert main(["calc", *argv]) == 3
@@ -174,7 +176,7 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
      "coupling gain must dominate the scene"),
     # A finite SNR whose noise power overflows a float.
     (("snr_db = 20", "snr_db = -4000"), [], 2,
-     "snr_db -4000.0 has no finite noise power"),
+     "snr_db -4000.0 has no finite linear value"),
     # A bandwidth that disagrees with subcarriers * spacing.
     (("spacing_hz = 312.5e3", "spacing_hz = 312.5e3\nbandwidth_hz = 40e6"),
      [], 2, "inconsistent bandwidth"),
@@ -182,6 +184,14 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
     (("subcarriers = 64\nspacing_hz = 312.5e3",
       "subcarriers = 0\nbandwidth_hz = 20e6"), [], 2,
      "n_subcarriers must be >= 2"),
+    # A carrier so small that f_c * T underflows the velocity span's divisor.
+    (("carrier_freq_hz = 6.3e9", "carrier_freq_hz = 4.9e-324"), [], 2,
+     "carrier_freq_hz 5e-324 * frame_interval_s 0.025 underflows to zero"),
+    # Finite impairments whose phase overflows a float.
+    (("phase_drift_std_rad = 0.005", "phase_drift_std_rad = 1.7e308"), [], 2,
+     "phase_drift_std_rad 1.7e+308 overflows the phase error"),
+    (("delay_offset_samples = 1.25", "delay_offset_samples = 1.7e308"), [], 2,
+     "delay_offset_samples 1.7e+308 overflows the delay ramp"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):
@@ -466,6 +476,23 @@ def test_eval_pass_and_fail(workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "range_error_m" in out and "result = pass" in out
     assert main(["eval", det, truth, "--max-range-err", "1e-9"]) == 1
+
+
+def test_eval_min_true_velocity_skips_slow_truth(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,range_m,velocity_mps\n0,1.0,0\n1,1.0,0\n"
+                     "2,1.5,0.5\n3,2.0,0.5\n")
+    det = tmp_path / "det.jsonl"
+    det.write_text("".join(
+        json.dumps({"t": t, "range_m": r, "velocity_mps": v}) + "\n"
+        for t, r, v in ((0.5, 1.0, 0.0), (2.5, 1.75, 0.5))))
+    # The first detection's true velocity is 0, below the filter.
+    assert main(["eval", str(det), str(truth),
+                 "--min-true-velocity", "0.1"]) == 0
+    assert "detections_evaluated = 1" in capsys.readouterr().out
+    assert main(["eval", str(det), str(truth),
+                 "--min-true-velocity", "0.6"]) == 1
+    assert "no detections pass the filters" in capsys.readouterr().err
 
 
 def test_eval_empty_detections(workdir, tmp_path):

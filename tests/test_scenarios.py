@@ -30,8 +30,15 @@ def test_parse_errors():
         parse_scenario("subcarriers = 8\nwhatever = 1\n")
     with pytest.raises(ScenarioError, match="missing keys"):
         parse_scenario("subcarriers = 8\n")
-    with pytest.raises(ScenarioError, match="waypoint"):
+    with pytest.raises(ScenarioError,
+                       match="line 1: path waypoint '1' needs t,range"):
         parse_scenario("path = 1\n")
+    with pytest.raises(ScenarioError,
+                       match="line 2: path waypoint '' needs t,range"):
+        parse_scenario("subcarriers = 8\npath =\n")
+    with pytest.raises(ScenarioError,
+                       match="line 1: clutter entry ' 3' needs range,gain"):
+        parse_scenario("clutter = 2, 0.5; 3\n")
     with pytest.raises(ScenarioError, match="key = value"):
         parse_scenario("just some text\n")
 
