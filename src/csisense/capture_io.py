@@ -23,6 +23,8 @@ from .waveform import WaveformConfig
 MAGIC = b"CSIF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIIddd")
+# The header's subcarrier and frame counts are u32.
+MAX_COUNT = 2 ** 32 - 1
 _ENTRY_BYTES = 8  # two float32 per complex entry
 
 

@@ -9,7 +9,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .rdmap import RangeDopplerMap
-from .waveform import WaveformConfig, db_to_linear, unambiguous_limits
+from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
+                       unambiguous_limits)
 
 
 @dataclass(frozen=True)
@@ -22,12 +23,6 @@ class Target:
     range_m: float
     velocity_mps: float
     gain: complex = 1.0 + 0.0j
-
-    def delay_s(self, wave_speed_mps: float) -> float:
-        return 2.0 * self.range_m / wave_speed_mps
-
-    def doppler_hz(self, cfg: WaveformConfig) -> float:
-        return 2.0 * self.velocity_mps * cfg.carrier_freq_hz / cfg.wave_speed_mps
 
 
 @dataclass(frozen=True)
@@ -123,15 +118,15 @@ def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
                 f"target velocity {t.velocity_mps} m/s outside +-{v_max / 2.0}")
 
 
-def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target],
-                  frame_indices: np.ndarray) -> np.ndarray:
+def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target]) -> np.ndarray:
     """Channel factor sum_k a_k e^{j2pi T fD m} e^{-j2pi n df tau} per frame/bin."""
+    m = np.arange(cfg.n_frames)
     n = np.arange(cfg.n_subcarriers)
-    out = np.zeros((len(frame_indices), cfg.n_subcarriers), dtype=complex)
+    out = np.zeros((cfg.n_frames, cfg.n_subcarriers), dtype=complex)
     for t in targets:
-        tau = t.delay_s(cfg.wave_speed_mps)
-        f_d = t.doppler_hz(cfg)
-        doppler = np.exp(2j * np.pi * cfg.frame_interval_s * f_d * frame_indices)
+        tau = 2.0 * t.range_m / SPEED_OF_LIGHT
+        f_d = 2.0 * t.velocity_mps * cfg.carrier_freq_hz / SPEED_OF_LIGHT
+        doppler = np.exp(2j * np.pi * cfg.frame_interval_s * f_d * m)
         delay = np.exp(-2j * np.pi * n * cfg.subcarrier_spacing_hz * tau)
         out += t.gain * np.outer(doppler, delay)
     return out
@@ -193,7 +188,7 @@ def simulate_capture(cfg: WaveformConfig, scene: Scene) -> np.ndarray:
     unchanged).
     """
     _check_bounds(cfg, scene.reflectors())
-    csi = _channel_rows(cfg, scene.reflectors(), np.arange(cfg.n_frames))
+    csi = _channel_rows(cfg, scene.reflectors())
     return _apply_noise_and_impairments(cfg, csi, scene)
 
 
@@ -212,7 +207,7 @@ def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:
         raise ValueError("oracle requires an impairment-free scene")
     _check_bounds(cfg, scene.reflectors())
     m_total, n_total = cfg.n_frames, cfg.n_subcarriers
-    d = _channel_rows(cfg, scene.reflectors(), np.arange(m_total))
+    d = _channel_rows(cfg, scene.reflectors())
     m = np.arange(m_total)
     n = np.arange(n_total)
     values = np.zeros((m_total, n_total))
@@ -290,13 +285,13 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple], *,
     statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
 
     n = np.arange(cfg.n_subcarriers)
-    taus = 2.0 * ranges / cfg.wave_speed_mps
+    taus = 2.0 * ranges / SPEED_OF_LIGHT
     delay_ramps = np.exp(-2j * np.pi * np.outer(
         taus, n * cfg.subcarrier_spacing_hz))
-    f_d = 2.0 * velocities * cfg.carrier_freq_hz / cfg.wave_speed_mps
+    f_d = 2.0 * velocities * cfg.carrier_freq_hz / SPEED_OF_LIGHT
     steps = 2.0 * np.pi * cfg.frame_interval_s * f_d
     psi = np.concatenate([[0.0], np.cumsum(steps[1:])])
     grid = gain * np.exp(1j * psi)[:, None] * delay_ramps
     if statics:
-        grid = grid + _channel_rows(cfg, statics, np.arange(cfg.n_frames))
+        grid = grid + _channel_rows(cfg, statics)
     return _apply_noise_and_impairments(cfg, grid, scene)

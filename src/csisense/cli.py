@@ -20,9 +20,8 @@ from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
                         load_scenario, simulate_scenario)
 from .sync import MAX_UPSAMPLE_FACTOR, SyncParams, synchronize
-from .waveform import (SPEED_OF_LIGHT, db_to_linear, doppler_resolution,
-                       make_config, range_accuracy, range_resolution,
-                       unambiguous_limits)
+from .waveform import (db_to_linear, doppler_resolution, make_config,
+                       range_accuracy, range_resolution, unambiguous_limits)
 
 EXIT_OK = 0
 EXIT_EVAL_FAILED = 1
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seconds")
     calc.add_argument("--carrier-freq", type=float, dest="carrier_freq_hz",
                       help="Hz")
-    calc.add_argument("--wave-speed", type=float, default=SPEED_OF_LIGHT)
     calc.add_argument("--snr-db", type=finite_float,
                       help="also print range accuracy at this SNR")
     calc.set_defaults(func=cmd_calc)
@@ -122,7 +120,7 @@ def cmd_calc(args) -> int:
                 "bandwidth_hz", "frame_interval_s", "carrier_freq_hz"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    cfg = make_config(wave_speed_mps=args.wave_speed, **params)
+    cfg = make_config(**params)
     max_range, velocity_span = unambiguous_limits(cfg)
     accuracy = None
     if args.snr_db is not None:  # checked before anything prints

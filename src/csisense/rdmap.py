@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from . import sic
 from .sync import synchronize
-from .waveform import WaveformConfig, db_to_linear, range_resolution
+from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
+                       range_resolution)
 
 # Peak-over-median-floor detection threshold, dB.
 DEFAULT_THRESHOLD_DB = 12.0
@@ -40,7 +41,7 @@ class RangeDopplerMap:
         return cls(
             values=values,
             range_scale_m=range_resolution(cfg),
-            velocity_scale_mps=cfg.wave_speed_mps / (
+            velocity_scale_mps=SPEED_OF_LIGHT / (
                 2.0 * cfg.carrier_freq_hz * values.shape[0]
                 * cfg.frame_interval_s),
             timestamp_s=timestamp_s)
@@ -154,36 +155,6 @@ def _parabolic_offset(left: float, center: float, right: float) -> float:
     return float(np.clip(offset, -0.5, 0.5))
 
 
-def estimate_peak(rdm: RangeDopplerMap,
-                  cell: Tuple[int, int]) -> Tuple[float, float, float]:
-    """Sub-bin (range_m, velocity_mps, power_db) at a local-maximum cell.
-
-    Fits a parabola to log-magnitudes along each axis independently; both
-    DFT axes are periodic, so neighbors wrap around at the edges. Offsets
-    are clamped to half a bin and the range estimate to >= 0.
-    """
-    row, col = cell
-    mag = rdm.values
-    up, down = (row - 1) % rdm.n_doppler, (row + 1) % rdm.n_doppler
-    left, right = (col - 1) % rdm.n_range, (col + 1) % rdm.n_range
-    cells = mag[[row, row, row, up, down], [col, left, right, col, col]]
-    if np.any(cells[0] < cells[1:]):
-        raise ValueError(f"cell {cell} is not a local maximum")
-    peak = np.max(mag)
-    here, west, east, north, south = np.log(
-        np.maximum(cells, peak * 1e-15 if peak > 0 else 1e-300))
-    off_l = _parabolic_offset(west, here, east)
-    off_p = _parabolic_offset(north, here, south)
-    bin_p = row - rdm.n_doppler // 2
-    range_m = max(0.0, (col + off_l) * rdm.range_scale_m)
-    # keep the estimate inside the physical axes even at edge bins
-    velocity_limit = rdm.velocity_scale_mps * rdm.n_doppler / 2.0
-    velocity = float(np.clip((bin_p + off_p) * rdm.velocity_scale_mps,
-                             -velocity_limit, velocity_limit))
-    power_db = 20.0 * here / np.log(10.0)
-    return range_m, velocity, power_db
-
-
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a NaN-free array from one partition: numpy's own
     median partitions at two more positions to average and check for NaN."""
@@ -201,10 +172,13 @@ def detect(rdm: RangeDopplerMap,
     the noise floor.
 
     The pick is the map's global maximum (the first one in row-major order
-    on a tie), refined by sub-bin interpolation. The floor is the median map
-    magnitude; the peak must exceed it by ``threshold_db``. Reported power
-    is dB above the floor. A map holding NaN yields no pick; a threshold
-    with no finite linear value raises ``ValueError``.
+    on a tie), refined to sub-bin range and velocity by a parabola through
+    the log-magnitudes along each axis; both DFT axes are periodic, so
+    neighbors wrap around at the edges. Offsets are clamped to half a bin
+    and the range to >= 0. The floor is the median map magnitude; the peak
+    must exceed it by ``threshold_db``. Reported power is dB above the
+    floor. A map holding NaN yields no pick; a threshold with no finite
+    linear value raises ``ValueError``.
     """
     mag = rdm.values
     flat = int(np.argmax(mag))
@@ -219,11 +193,23 @@ def detect(rdm: RangeDopplerMap,
             "threshold_db", threshold_db, 20.0):
         return None
     row, col = flat // rdm.n_range, flat % rdm.n_range
-    range_m, velocity, power_db = estimate_peak(rdm, (row, col))
+    up, down = (row - 1) % rdm.n_doppler, (row + 1) % rdm.n_doppler
+    left, right = (col - 1) % rdm.n_range, (col + 1) % rdm.n_range
+    cells = mag[[row, row, row, up, down], [col, left, right, col, col]]
+    here, west, east, north, south = np.log(np.maximum(cells, peak * 1e-15))
+    off_l = _parabolic_offset(west, here, east)
+    off_p = _parabolic_offset(north, here, south)
+    bin_p = row - rdm.n_doppler // 2
+    # keep the estimate inside the physical axes even at edge bins
+    velocity_limit = rdm.velocity_scale_mps * rdm.n_doppler / 2.0
+    velocity = float(np.clip((bin_p + off_p) * rdm.velocity_scale_mps,
+                             -velocity_limit, velocity_limit))
     return Detection(
-        time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
-        power_db=power_db - 20.0 * math.log10(floor), bin_l=col,
-        bin_p=row - rdm.n_doppler // 2)
+        time_s=rdm.timestamp_s,
+        range_m=max(0.0, (col + off_l) * rdm.range_scale_m),
+        velocity_mps=velocity,
+        power_db=20.0 * here / np.log(10.0) - 20.0 * math.log10(floor),
+        bin_l=col, bin_p=bin_p)
 
 
 def window_starts(n_frames: int, window: int, stride: int) -> range:

@@ -7,10 +7,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .capture_io import Trajectory
+from .capture_io import MAX_COUNT, Trajectory
 from .channel import Impairments, Target, simulate_trajectory, trajectory_samples
-from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
-                       make_config)
+from .waveform import WaveformConfig, db_to_linear, make_config
 
 
 class ScenarioError(Exception):
@@ -73,7 +72,6 @@ class Scenario:
     # One or both; make_config derives the other and checks they agree.
     subcarrier_spacing_hz: Optional[float] = None
     bandwidth_hz: Optional[float] = None
-    wave_speed_mps: float = SPEED_OF_LIGHT
     snr_db: Optional[float] = None
     target_gain: float = 1.0
     coupling_gain_db: Optional[float] = None
@@ -90,8 +88,7 @@ class Scenario:
             subcarrier_spacing_hz=self.subcarrier_spacing_hz,
             bandwidth_hz=self.bandwidth_hz,
             frame_interval_s=self.frame_interval_s,
-            carrier_freq_hz=self.carrier_freq_hz,
-            wave_speed_mps=self.wave_speed_mps)
+            carrier_freq_hz=self.carrier_freq_hz)
 
 
 def finite_float(text: str) -> float:
@@ -108,6 +105,15 @@ def _integer(text: str) -> int:
     if not value.is_integer():
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
+
+
+def _count(key: str, text: str) -> int:
+    """An ``_integer`` that the capture header's count fields can hold."""
+    value = _integer(text)
+    if value > MAX_COUNT:
+        raise ValueError(f"{key} {value} does not fit the capture header's "
+                         f"limit of {MAX_COUNT}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -136,9 +142,10 @@ def _entries(text: str, label: str, form: str, sizes: Tuple[int, ...]
 
 # Scenario file key -> (Scenario field, parser of the value text).
 _KEYS = {
-    "subcarriers": ("n_subcarriers", _integer),
+    "subcarriers": ("n_subcarriers",
+                    lambda text: _count("subcarriers", text)),
     "spacing_hz": ("subcarrier_spacing_hz", finite_float),
-    "frame_count": ("frame_count", _integer),
+    "frame_count": ("frame_count", lambda text: _count("frame_count", text)),
     "seed": ("seed", _seed),
     "snr_db": ("snr_db", _snr_db),
     "path": ("path", lambda text: _entries(
@@ -146,10 +153,9 @@ _KEYS = {
     "clutter": ("clutter", lambda text: _entries(
         text, "clutter entry", "range,gain", (2,))),
     **{key: (key, finite_float) for key in (
-        "bandwidth_hz", "frame_interval_s", "carrier_freq_hz",
-        "wave_speed_mps", "target_gain", "coupling_gain_db",
-        "delay_offset_samples", "phase_jump_step_rad", "phase_jump_prob",
-        "phase_drift_std_rad")},
+        "bandwidth_hz", "frame_interval_s", "carrier_freq_hz", "target_gain",
+        "coupling_gain_db", "delay_offset_samples", "phase_jump_step_rad",
+        "phase_jump_prob", "phase_drift_std_rad")},
 }
 
 

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-SPEED_OF_LIGHT = 2.998e8  # m/s, configurable per config
+SPEED_OF_LIGHT = 2.998e8  # m/s
 
 # Consistency required between an explicit bandwidth and n_subcarriers * spacing.
 _BANDWIDTH_RTOL = 1e-9
@@ -25,7 +25,6 @@ class WaveformConfig:
     frame_interval_s: float
     carrier_freq_hz: float
     bandwidth_hz: float
-    wave_speed_mps: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.n_subcarriers < 2:
@@ -33,7 +32,7 @@ class WaveformConfig:
         if self.n_frames < 2:
             raise ValueError("n_frames must be >= 2")
         for name in ("subcarrier_spacing_hz", "frame_interval_s",
-                     "carrier_freq_hz", "bandwidth_hz", "wave_speed_mps"):
+                     "carrier_freq_hz", "bandwidth_hz"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         expected = self.n_subcarriers * self.subcarrier_spacing_hz
@@ -61,8 +60,8 @@ class WaveformConfig:
 def make_config(*, n_subcarriers: int, n_frames: int,
                 subcarrier_spacing_hz: Optional[float] = None,
                 bandwidth_hz: Optional[float] = None,
-                frame_interval_s: float, carrier_freq_hz: float,
-                wave_speed_mps: float = SPEED_OF_LIGHT) -> WaveformConfig:
+                frame_interval_s: float,
+                carrier_freq_hz: float) -> WaveformConfig:
     """Build a validated config from spacing, bandwidth, or both.
 
     Supplying both requires bandwidth == n_subcarriers * spacing to 1 part
@@ -81,8 +80,7 @@ def make_config(*, n_subcarriers: int, n_frames: int,
         subcarrier_spacing_hz=float(subcarrier_spacing_hz),
         frame_interval_s=float(frame_interval_s),
         carrier_freq_hz=float(carrier_freq_hz),
-        bandwidth_hz=float(bandwidth_hz),
-        wave_speed_mps=float(wave_speed_mps))
+        bandwidth_hz=float(bandwidth_hz))
 
 
 def db_to_linear(name: str, value_db: float, db_per_decade: float) -> float:
@@ -99,12 +97,12 @@ def db_to_linear(name: str, value_db: float, db_per_decade: float) -> float:
 
 def range_resolution(cfg: WaveformConfig) -> float:
     """Smallest separable range step, c / (2 B), in meters."""
-    return cfg.wave_speed_mps / (2.0 * cfg.bandwidth_hz)
+    return SPEED_OF_LIGHT / (2.0 * cfg.bandwidth_hz)
 
 
 def doppler_resolution(cfg: WaveformConfig) -> float:
     """Smallest separable velocity step, c / (2 M f_c T), in m/s."""
-    return cfg.wave_speed_mps / (
+    return SPEED_OF_LIGHT / (
         2.0 * cfg.n_frames * cfg.carrier_freq_hz * cfg.frame_interval_s)
 
 
@@ -113,17 +111,18 @@ def unambiguous_limits(cfg: WaveformConfig) -> Tuple[float, float]:
 
     Velocity estimates live on the symmetric span [-V_max/2, +V_max/2).
     """
-    r_max = cfg.wave_speed_mps * cfg.n_subcarriers / (2.0 * cfg.bandwidth_hz)
-    v_max = cfg.wave_speed_mps / (2.0 * cfg.carrier_freq_hz * cfg.frame_interval_s)
+    r_max = SPEED_OF_LIGHT * cfg.n_subcarriers / (2.0 * cfg.bandwidth_hz)
+    v_max = SPEED_OF_LIGHT / (2.0 * cfg.carrier_freq_hz * cfg.frame_interval_s)
     return r_max, v_max
 
 
 def range_accuracy(cfg: WaveformConfig, snr_linear: float) -> float:
     """Expected range measurement error, resolution / sqrt(2 SNR), in meters.
 
-    Valid in the high-SNR regime (snr_linear >> 1).
+    Valid in the high-SNR regime (snr_linear >> 1); refused below 0.5,
+    where the error it states would exceed one resolution cell.
     """
-    if not 0 < 2.0 * snr_linear < math.inf:
-        raise ValueError("snr_linear must be positive, with 2 * snr_linear "
-                         "finite")
+    if not 1.0 <= 2.0 * snr_linear < math.inf:
+        raise ValueError("snr_linear must be at least 0.5, with "
+                         "2 * snr_linear finite")
     return range_resolution(cfg) / math.sqrt(2.0 * snr_linear)

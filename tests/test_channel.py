@@ -4,7 +4,8 @@ import pytest
 from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               phase_error_trace, simulate_capture,
                               simulate_trajectory, trajectory_samples)
-from csisense.waveform import doppler_resolution, make_config, range_resolution
+from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
+                               make_config, range_resolution)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -36,9 +37,9 @@ def eq5_direct(cfg, scene):
         for n in range(cfg.n_subcarriers):
             acc = 0.0 + 0.0j
             for t in scene.reflectors():
-                tau = 2.0 * t.range_m / cfg.wave_speed_mps
+                tau = 2.0 * t.range_m / SPEED_OF_LIGHT
                 f_d = (2.0 * t.velocity_mps * cfg.carrier_freq_hz
-                       / cfg.wave_speed_mps)
+                       / SPEED_OF_LIGHT)
                 acc += t.gain * np.exp(
                     2j * np.pi * cfg.frame_interval_s * f_d * m) * np.exp(
                     -2j * np.pi * n * cfg.subcarrier_spacing_hz * tau)
@@ -62,8 +63,8 @@ def test_phase_slopes_match_delay_and_doppler():
     cfg = wifi_cfg()
     target = Target(0.45, 0.075, 1.0)
     d = simulate_capture(cfg, Scene(targets=(target,)))
-    tau = 2.0 * 0.45 / cfg.wave_speed_mps          # ~3 ns
-    f_d = 2.0 * 0.075 * cfg.carrier_freq_hz / cfg.wave_speed_mps  # ~3.15 Hz
+    tau = 2.0 * 0.45 / SPEED_OF_LIGHT  # ~3 ns
+    f_d = 2.0 * 0.075 * cfg.carrier_freq_hz / SPEED_OF_LIGHT  # ~3.15 Hz
     slope_n = np.angle(d[0, 1] / d[0, 0])
     slope_m = np.angle(d[1, 0] / d[0, 0])
     assert slope_n == pytest.approx(-2 * np.pi * cfg.subcarrier_spacing_hz * tau,
@@ -87,7 +88,7 @@ def test_static_target_frames_equal_delay_ramp():
     cfg = small_cfg()
     target = Target(30.0, 0.0, 1.0)
     d = simulate_capture(cfg, Scene(targets=(target,)))
-    tau = 2.0 * 30.0 / cfg.wave_speed_mps
+    tau = 2.0 * 30.0 / SPEED_OF_LIGHT
     expected_row = np.exp(-2j * np.pi * np.arange(cfg.n_subcarriers)
                           * cfg.subcarrier_spacing_hz * tau)
     for m in range(cfg.n_frames):
@@ -273,8 +274,8 @@ def test_trajectory_constant_velocity_matches_static_capture():
     ref = np.zeros_like(s)
     for m in range(cfg.n_frames):
         rm = r0 + v * m * cfg.frame_interval_s
-        tau = 2.0 * rm / cfg.wave_speed_mps
-        f_d = 2.0 * v * cfg.carrier_freq_hz / cfg.wave_speed_mps
+        tau = 2.0 * rm / SPEED_OF_LIGHT
+        f_d = 2.0 * v * cfg.carrier_freq_hz / SPEED_OF_LIGHT
         ref[m] = np.exp(2j * np.pi * cfg.frame_interval_s * f_d * m) * np.exp(
             -2j * np.pi * np.arange(cfg.n_subcarriers)
             * cfg.subcarrier_spacing_hz * tau)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from csisense.cli import main
+from csisense.scenarios import parse_scenario
 
 SMALL_SCENARIO = """\
 subcarriers = 64
@@ -93,11 +94,12 @@ def test_calc_invalid_flag_exits_3(capsys):
     assert main(["calc", "--bandwidth", "not-a-number"]) == 3
     assert main(["frobnicate"]) == 3
     assert main(["calc", "--bandwidth", "-5"]) == 3
+    # The wave speed is the constant c: no capture records another.
+    assert main(["calc", "--wave-speed", "343"]) == 3
 
 
 @pytest.mark.parametrize("flag", ["--carrier-freq", "--frame-interval",
-                                  "--bandwidth", "--spacing", "--wave-speed",
-                                  "--snr-db"])
+                                  "--bandwidth", "--spacing", "--snr-db"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_calc_non_finite_value_exits_3(capsys, flag, value):
     assert main(["calc", f"{flag}={value}"]) == 3
@@ -113,6 +115,9 @@ def test_calc_non_finite_value_exits_3(capsys, flag, value):
      "n_subcarriers must be >= 2"),
     (["--carrier-freq", "4.9e-324"],
      "carrier_freq_hz 5e-324 * frame_interval_s 0.025 underflows to zero"),
+    # SNRs below -3.01 dB, where resolution / sqrt(2 SNR) exceeds a cell.
+    (["--snr-db", "-300"], "2 * snr_linear finite"),
+    (["--snr-db", "-3.1"], "2 * snr_linear finite"),
 ])
 def test_calc_unrepresentable_value_exits_3(capsys, argv, message):
     assert main(["calc", *argv]) == 3
@@ -192,6 +197,9 @@ def test_simulate_non_finite_scenario_value_exits_2(tmp_path, capsys):
      "phase_drift_std_rad 1.7e+308 overflows the phase error"),
     (("delay_offset_samples = 1.25", "delay_offset_samples = 1.7e308"), [], 2,
      "delay_offset_samples 1.7e+308 overflows the delay ramp"),
+    # The wave speed is not a scenario key: no capture could record it.
+    (("snr_db = 20", "snr_db = 20\nwave_speed_mps = 1.5e8"), [], 2,
+     "line 7: unknown key 'wave_speed_mps'"),
 ])
 def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
                                             code, message):
@@ -205,6 +213,28 @@ def test_simulate_rejected_scenario_or_seed(tmp_path, capsys, edit, extra,
     if code == 2:
         assert f"csisense: scenario {scenario}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["subcarriers", "frame_count"])
+def test_simulate_count_beyond_header_exits_2(tmp_path, capsys, monkeypatch,
+                                              key):
+    # The header stores both counts as u32; the refusal must come before
+    # the simulator allocates the grid.
+    def simulate_trajectory(*args, **kwargs):
+        pytest.fail("simulate_trajectory ran on a count the header cannot hold")
+    monkeypatch.setattr("csisense.scenarios.simulate_trajectory",
+                        simulate_trajectory)
+    scenario = tmp_path / "huge.scenario"
+    scenario.write_text(SMALL_SCENARIO + f"{key} = 4294967296\n")
+    out = tmp_path / "cap.bin"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"csisense: scenario {scenario}: line 14: {key} 4294967296 "
+            "does not fit the capture header's limit of 4294967295") in err
+    assert not out.exists()
+    # The largest count the header holds still parses.
+    assert parse_scenario(SMALL_SCENARIO + f"{key} = 4294967295\n")
 
 
 def test_simulate_unknown_scenario_exits_2(tmp_path):

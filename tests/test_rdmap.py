@@ -13,11 +13,12 @@ from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               simulate_capture, simulate_trajectory)
 from csisense.rdmap import (Detection, RangeDopplerMap, _median,
                             _parabolic_offset, detect, doppler_time_profile,
-                            estimate_peak, range_doppler, range_profiles,
-                            track, window_maps, window_starts)
+                            range_doppler, range_profiles, track, window_maps,
+                            window_starts)
 from csisense.sic import remove_dc
-from csisense.waveform import (doppler_resolution, make_config,
-                               range_resolution, unambiguous_limits)
+from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
+                               make_config, range_resolution,
+                               unambiguous_limits)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -87,7 +88,8 @@ def reference_local_maxima(mag):
 
 
 def reference_estimate_peak(rdm, cell):
-    """``estimate_peak`` as it was, taking the log of the whole map."""
+    """Sub-bin (range_m, velocity_mps, power_db) at a local-maximum cell,
+    taking the log of the whole map."""
     row, col = cell
     mag = rdm.values
     floor = np.max(mag) * 1e-15 if np.max(mag) > 0 else 1e-300
@@ -116,10 +118,13 @@ MAP_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=7)
                       st.just(0.0),
                       st.floats(min_value=1e-300, max_value=1e300))))
 def test_estimate_peak_matches_whole_map_log(values):
+    # At -300 dB every positive peak clears its floor, so detect's sub-bin
+    # estimate is compared on maps spanning the whole float range.
     rdm = RangeDopplerMap(values=values, range_scale_m=0.3,
                           velocity_scale_mps=0.03)
-    cell = peak_cell(rdm)
-    assert estimate_peak(rdm, cell) == reference_estimate_peak(rdm, cell)
+    picks = reference_detect(rdm, threshold_db=-300.0, max_targets=1)
+    assert (picks[0] if picks else None) == detect(rdm, threshold_db=-300.0)
+    assert bool(picks) == (np.max(values) > 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,10 +158,10 @@ def test_axis_scales():
     rdm = range_doppler(
         range_profiles(np.ones((cfg.n_frames, cfg.n_subcarriers))), cfg)
     assert rdm.range_scale_m == pytest.approx(
-        cfg.wave_speed_mps / (2 * cfg.bandwidth_hz), rel=1e-12)
+        SPEED_OF_LIGHT / (2 * cfg.bandwidth_hz), rel=1e-12)
     assert rdm.velocity_scale_mps == pytest.approx(
-        cfg.wave_speed_mps / (2 * cfg.carrier_freq_hz * cfg.n_frames
-                              * cfg.frame_interval_s), rel=1e-12)
+        SPEED_OF_LIGHT / (2 * cfg.carrier_freq_hz * cfg.n_frames
+                          * cfg.frame_interval_s), rel=1e-12)
 
 
 def test_sign_convention_receding_is_positive():
@@ -207,9 +212,10 @@ def test_estimate_peak_symmetric_offset_zero():
     mm, nn = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
     grid = np.exp(2j * np.pi * 3 * mm / m) * np.exp(-2j * np.pi * 5 * nn / n)
     rdm = range_doppler(range_profiles(grid, "hann"), cfg, window_fn="hann")
-    r_hat, v_hat, _ = estimate_peak(rdm, peak_cell(rdm))
-    assert r_hat == pytest.approx(5 * rdm.range_scale_m, abs=1e-9)
-    assert v_hat == pytest.approx(3 * rdm.velocity_scale_mps, abs=1e-9)
+    pick = detect(rdm)
+    assert pick.range_m == pytest.approx(5 * rdm.range_scale_m, abs=1e-9)
+    assert pick.velocity_mps == pytest.approx(3 * rdm.velocity_scale_mps,
+                                              abs=1e-9)
 
 
 def test_estimate_peak_off_grid_sweep():
@@ -221,17 +227,7 @@ def test_estimate_peak_off_grid_sweep():
         rdm = range_doppler(
             range_profiles(simulate_capture(cfg, scene), "hann"), cfg,
             window_fn="hann")
-        r_hat, _, _ = estimate_peak(rdm, peak_cell(rdm))
-        assert abs(r_hat / dr - tau_bins) < 0.1
-
-
-def test_estimate_peak_rejects_non_maximum():
-    cfg = cfg_of()
-    d = simulate_capture(cfg, Scene(targets=(on_bin_target(cfg, 5, 3),)))
-    rdm = range_doppler(range_profiles(d, "hann"), cfg, window_fn="hann")
-    row, col = peak_cell(rdm)
-    with pytest.raises(ValueError, match="not a local maximum"):
-        estimate_peak(rdm, ((row + 4) % rdm.n_doppler, col))
+        assert abs(detect(rdm).range_m / dr - tau_bins) < 0.1
 
 
 def test_detect_noise_maps_mostly_empty():
@@ -311,7 +307,7 @@ def reference_detect(rdm: RangeDopplerMap,
     while len(picks) < max_targets and np.any(available):
         flat = int(np.argmax(np.where(available, mag, -np.inf)))
         row, col = flat // rdm.n_range, flat % rdm.n_range
-        range_m, velocity, power_db = estimate_peak(rdm, (row, col))
+        range_m, velocity, power_db = reference_estimate_peak(rdm, (row, col))
         picks.append(Detection(
             time_s=rdm.timestamp_s, range_m=range_m, velocity_mps=velocity,
             power_db=power_db - floor_db, bin_l=col,

@@ -53,7 +53,7 @@ VALID_LINES = {
     ("subcarriers", "inf"), ("frame_count", "nan"), ("seed", "inf"),
     ("spacing_hz", "nan"), ("bandwidth_hz", "inf"),
     ("frame_interval_s", "inf"), ("carrier_freq_hz", "inf"),
-    ("wave_speed_mps", "nan"), ("snr_db", "nan"), ("snr_db", "-inf"),
+    ("snr_db", "nan"), ("snr_db", "-inf"),
     ("target_gain", "nan"), ("coupling_gain_db", "inf"),
     ("delay_offset_samples", "nan"), ("phase_jump_step_rad", "inf"),
     ("phase_jump_prob", "nan"), ("phase_drift_std_rad", "inf"),

@@ -43,11 +43,13 @@ def test_make_config_bandwidth_only():
     dict(subcarrier_spacing_hz=float("nan")), dict(frame_interval_s=np.inf),
     dict(carrier_freq_hz=float("nan")), dict(carrier_freq_hz=np.inf),
     dict(bandwidth_hz=float("nan")), dict(bandwidth_hz=np.inf),
-    dict(wave_speed_mps=float("nan")), dict(wave_speed_mps=np.inf),
+    # bandwidth-only inputs: a negative bandwidth, and a zero count that
+    # must be refused rather than divided by
+    dict(subcarrier_spacing_hz=None, bandwidth_hz=-160e6),
+    dict(subcarrier_spacing_hz=None, bandwidth_hz=160e6, n_subcarriers=0),
     # finite inputs whose capability numbers overflow or underflow
     dict(frame_interval_s=1e-320),
     dict(frame_interval_s=1e300, carrier_freq_hz=1e300),
-    dict(wave_speed_mps=1e-320),
 ])
 def test_make_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
@@ -115,7 +117,7 @@ def test_range_accuracy_values():
                                                      rel=1e-12)
     assert range_accuracy(cfg, 400.0) == pytest.approx(
         range_accuracy(cfg, 100.0) / 2.0, rel=1e-12)
-    for snr_linear in (0.0, 1e308, np.inf, float("nan")):
+    for snr_linear in (0.0, 0.49, 1e308, np.inf, float("nan")):
         with pytest.raises(ValueError):
             range_accuracy(cfg, snr_linear)
 
