@@ -232,14 +232,15 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     """Yield one range-Doppler map per sliding window, center-timestamped.
 
     Synchronization runs once over the whole capture (the sample-clock
-    offset is constant and phase alignment is sequential). The range
-    transform runs once per frame of a chunk of ``window // stride + 1``
-    windows, a span of at most two windows of frames, so memory stays flat
-    in the capture length; each window then slices its profiles, is
-    DC-removed (mean removal commutes with the range transform) and gets
-    its Doppler transform.
+    offset is constant and phase alignment is sequential) and holds one
+    complex128 copy of it. The range transform runs once per frame of a
+    chunk of ``window // stride + 1`` windows, a span of at most two
+    windows of frames, and upcasts only that chunk; so without sync, memory
+    beyond the caller's capture stays flat in the capture length. Each
+    window then slices its profiles, is DC-removed (mean removal commutes
+    with the range transform) and gets its Doppler transform.
     """
-    capture = np.asarray(capture, dtype=complex)
+    capture = np.asarray(capture)
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
     starts = window_starts(capture.shape[0], window, stride)

@@ -564,3 +564,28 @@ def test_window_maps_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < cap.nbytes / 4
+
+
+def test_window_maps_upcast_a_chunk_at_a_time():
+    # A complex64 (or real) capture gives the maps of its complex128
+    # upcast, bit for bit, with no upcast copy of the whole capture.
+    cfg = cfg_of(n=256, m=16)
+    rng = np.random.default_rng(9)
+    shape = (2048, 256)
+    cap = (rng.standard_normal(shape)
+           + 1j * rng.standard_normal(shape)).astype(np.complex64)
+
+    def values(capture):
+        return [rdm.values.tobytes() for rdm in window_maps(
+            capture, cfg, 16, 16, apply_sync=False)]
+
+    for given in (cap, cap.real):
+        assert values(given) == values(given.astype(complex))
+    tracemalloc.start()
+    try:
+        for _ in window_maps(cap, cfg, 16, 16, apply_sync=False):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap.size * np.dtype(complex).itemsize / 10

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +315,23 @@ def test_synchronize_complex64_equals_its_upcast(make_grid):
     assert report.to_json_dict() == expected_report.to_json_dict()
 
 
+def test_synchronize_holds_one_complex128_copy():
+    # Delay compensation makes the one complex128 copy of the capture;
+    # phase alignment rotates it in place and measures frame magnitudes a
+    # block of frames at a time.
+    grid = impaired_capture(cfg_of(n=256, m=2048), offset=1.7,
+                            jump_step=np.pi / 2, jump_prob=0.1,
+                            seed=4).astype(np.complex64)
+    synchronize(grid[:2])  # one-time set-up of the transforms, untraced
+    tracemalloc.start()
+    try:
+        synchronize(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * grid.size * np.dtype(complex).itemsize
+
+
 def test_fine_delay_wraps_past_the_last_sample():
     # Coarse lag n - 1 is lag -1; the tap at lag 0 sits one sample later,
     # at index n of the sequence, which wraps to 0.
@@ -455,12 +474,19 @@ _LONG_GRID = np.exp(
 def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
     params = SyncParams(phase_step_rad=delta, history_len=history_len)
     expected, expected_arrays = _reference_align_phases(grid, params)
+    given_bytes = grid.tobytes()
     aligned, report = align_phases(grid, params)
+    assert grid.tobytes() == given_bytes  # the default call leaves it be
     assert aligned.tobytes() == expected.tobytes()
     arrays = (report.frame_phases_rad, report.corrections_rad,
               report.references_rad)
     for got, want in zip(arrays, expected_arrays):
         assert got.tobytes() == want.tobytes()
+    # Aligned in place through out=, to the same bits.
+    in_place = grid.astype(complex)
+    result, _ = align_phases(in_place, params, out=in_place)
+    assert result is in_place
+    assert in_place.tobytes() == aligned.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
