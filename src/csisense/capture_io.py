@@ -26,6 +26,9 @@ _HEADER = struct.Struct("<4sHIIddd")
 # The header's subcarrier and frame counts are u32.
 MAX_COUNT = 2 ** 32 - 1
 _ENTRY_BYTES = 8  # two float32 per complex entry
+# Samples per block of frames when checking for non-finite values, so the
+# check holds a 64 KB flag array rather than one flag per sample.
+_FINITE_BLOCK_SAMPLES = 2 ** 16
 
 
 class CaptureFormatError(Exception):
@@ -61,11 +64,16 @@ def write_capture(path, cfg: WaveformConfig, frames: np.ndarray) -> int:
 
 
 def _check_finite(frames: np.ndarray, detail: str = "") -> None:
-    finite = np.isfinite(frames)
-    if not finite.all():
-        index, bad = np.argwhere(~finite)[0]
-        raise CaptureFormatError(
-            f"non-finite sample at frame {index}, subcarrier {bad}{detail}")
+    """Raise on the first non-finite sample in file order, checking a block
+    of frames at a time."""
+    step = max(1, _FINITE_BLOCK_SAMPLES // frames.shape[1])
+    for lo in range(0, len(frames), step):
+        finite = np.isfinite(frames[lo:lo + step])
+        if not finite.all():
+            index, bad = np.argwhere(~finite)[0]
+            raise CaptureFormatError(
+                f"non-finite sample at frame {lo + index}, subcarrier {bad}"
+                f"{detail}")
 
 
 def _pack_header(cfg: WaveformConfig, n_frames: int) -> bytes:

@@ -133,17 +133,22 @@ def range_doppler(profiles: np.ndarray, cfg: WaveformConfig,
     synchronized CSI window, DC-removed before or after that transform).
 
     The Doppler axis is a forward DFT over frames, peaking at bin fD*M*T,
-    after an optional frame taper; the magnitude is center-shifted so
-    Doppler bin 0 is the middle row. Under rectangular windows an on-bin
-    unit exponential peaks at magnitude M*N.
+    after an optional frame taper; the magnitude is written straight into
+    center-shifted rows (``fftshift`` without its copy), so Doppler bin 0 is
+    the middle row. Under rectangular windows an on-bin unit exponential
+    peaks at magnitude M*N.
     """
     profiles = np.asarray(profiles)
     if profiles.ndim != 2 or profiles.shape[0] < 2 or profiles.shape[1] < 2:
         raise ValueError("need a 2-D grid of at least 2x2")
     taper = _axis_window(window_fn, profiles.shape[0])[:, None]
     spectrum = np.fft.fft(profiles * taper, axis=0)
-    return RangeDopplerMap.from_config(
-        np.fft.fftshift(np.abs(spectrum), axes=0), cfg, timestamp_s)
+    # fftshift's rotation: the first (M + 1) // 2 rows move to the end.
+    split = (len(spectrum) + 1) // 2
+    mag = np.empty(spectrum.shape, dtype=spectrum.real.dtype)
+    np.abs(spectrum[:split], out=mag[-split:])
+    np.abs(spectrum[split:], out=mag[:-split])
+    return RangeDopplerMap.from_config(mag, cfg, timestamp_s)
 
 
 def _parabolic_offset(left: float, center: float, right: float) -> float:
@@ -151,8 +156,9 @@ def _parabolic_offset(left: float, center: float, right: float) -> float:
     if denom >= 0.0:
         # Flat or non-concave: no reliable vertex.
         return 0.0
-    offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
+    # As with np.clip, NaN stays NaN: max and min return their first
+    # argument when no other one compares beyond it.
+    return min(max(0.5 * (left - right) / denom, -0.5), 0.5)
 
 
 def _median(values: np.ndarray) -> float:
@@ -196,14 +202,15 @@ def detect(rdm: RangeDopplerMap,
     up, down = (row - 1) % rdm.n_doppler, (row + 1) % rdm.n_doppler
     left, right = (col - 1) % rdm.n_range, (col + 1) % rdm.n_range
     cells = mag[[row, row, row, up, down], [col, left, right, col, col]]
-    here, west, east, north, south = np.log(np.maximum(cells, peak * 1e-15))
+    here, west, east, north, south = np.log(
+        np.maximum(cells, peak * 1e-15)).tolist()
     off_l = _parabolic_offset(west, here, east)
     off_p = _parabolic_offset(north, here, south)
     bin_p = row - rdm.n_doppler // 2
     # keep the estimate inside the physical axes even at edge bins
     velocity_limit = rdm.velocity_scale_mps * rdm.n_doppler / 2.0
-    velocity = float(np.clip((bin_p + off_p) * rdm.velocity_scale_mps,
-                             -velocity_limit, velocity_limit))
+    velocity = min(max((bin_p + off_p) * rdm.velocity_scale_mps,
+                       -velocity_limit), velocity_limit)
     return Detection(
         time_s=rdm.timestamp_s,
         range_m=max(0.0, (col + off_l) * rdm.range_scale_m),

@@ -15,8 +15,11 @@ def remove_dc(grid: np.ndarray) -> np.ndarray:
     after it, by linearity of the DFT. The mean is taken over the current
     window only. Movers slower than one Doppler bin lose part of their
     energy too; that loss is the cost of the cancellation at very low
-    velocities. Residue within 32 eps of the largest removed mean is
-    flushed to zero; that scale is the same in either domain.
+    velocities. Residue within 32 eps (of the output's own precision) of
+    the largest removed mean is flushed to zero; that scale is the same in
+    either domain. A cell's magnitude is at least each of its parts, so
+    the magnitudes are taken only when some real or imaginary part lies
+    within that tolerance.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 2:
@@ -27,6 +30,10 @@ def remove_dc(grid: np.ndarray) -> np.ndarray:
     # residue (no mean can be exact for every frame count); flush anything
     # that far below the largest removed mean to true zero so an all-static
     # window comes out silent instead of as numerical dust.
-    tolerance = 32.0 * np.finfo(float).eps * np.max(np.abs(mean))
-    out[np.abs(out) <= tolerance] = 0.0
+    tolerance = 32.0 * np.finfo(out.dtype).eps * np.max(np.abs(mean))
+    # |z| >= max(|re|, |im|): with no part within the tolerance no cell
+    # is, and the costlier whole-grid magnitude is skipped.
+    parts = out.ravel(order="K").view(out.real.dtype)
+    if (np.abs(parts) <= tolerance).any():
+        out[np.abs(out) <= tolerance] = 0.0
     return out

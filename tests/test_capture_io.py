@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csisense.capture_io import (_ENTRY_BYTES, _HEADER, CaptureFormatError,
+from csisense.capture_io import (_ENTRY_BYTES, _FINITE_BLOCK_SAMPLES,
+                                 _HEADER, CaptureFormatError,
                                  CaptureHeader, Trajectory, _pack_header,
                                  read_capture_array, read_detections_jsonl,
                                  read_ground_truth, read_header,
@@ -274,6 +275,54 @@ def test_overstated_header_allocates_about_the_file(tmp_path, offset,
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 21
+
+
+# Frames per block of the finite check on 512-subcarrier frames.
+_BLOCK = _FINITE_BLOCK_SAMPLES // 512
+
+
+@pytest.mark.parametrize("cells, first", [
+    ([(_BLOCK - 1, 511)], (_BLOCK - 1, 511)),
+    ([(_BLOCK, 0)], (_BLOCK, 0)),
+    ([(2 * _BLOCK + 44, 17)], (2 * _BLOCK + 44, 17)),
+    ([(2 * _BLOCK + 44, 3), (_BLOCK + 1, 400)], (_BLOCK + 1, 400)),
+], ids=["end-of-block", "start-of-block", "later-block", "two-blocks"])
+def test_non_finite_sample_named_across_blocks(tmp_path, cells, first):
+    # The check runs a block of frames at a time; the message still names
+    # the first bad sample in file order, on both read and write.
+    cfg = wifi_cfg()
+    grid = np.ones((3 * _BLOCK + 5, 512), dtype=np.complex64)
+    path = tmp_path / "cap.bin"
+    write_capture(path, cfg, grid)
+    raw = bytearray(path.read_bytes())
+    for frame, sub in cells:
+        grid[frame, sub] = complex(1.0, np.nan)
+        offset = _HEADER.size + (frame * 512 + sub) * _ENTRY_BYTES + 4
+        raw[offset:offset + 4] = struct.pack("<f", np.inf)
+    path.write_bytes(bytes(raw))
+    message = f"non-finite sample at frame {first[0]}, subcarrier {first[1]}"
+    with pytest.raises(CaptureFormatError, match=f"^{message}$"):
+        read_capture_array(path)
+    with pytest.raises(CaptureFormatError,
+                       match=f"^{message} as complex64$"):
+        write_capture(tmp_path / "refused.bin", cfg, grid)
+    assert not (tmp_path / "refused.bin").exists()
+
+
+def test_read_peaks_at_about_the_payload(tmp_path):
+    # The finite check holds one block's flags, not one per sample (an
+    # eighth of the complex64 payload).
+    path = tmp_path / "cap.bin"
+    grid = np.ones((2048, 256), dtype=np.complex64)
+    write_capture(path, small_cfg(256), grid)
+    read_capture_array(path)
+    tracemalloc.start()
+    try:
+        read_capture_array(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * grid.nbytes
 
 
 def test_ground_truth_interpolation(tmp_path):

@@ -76,6 +76,22 @@ def test_values_are_the_real_fft_magnitude():
     assert rdm.magnitude() is rdm.values
 
 
+@pytest.mark.parametrize("window_fn", ["rect", "hann"])
+@pytest.mark.parametrize("rows", [2, 3, 5, 32])
+def test_range_doppler_is_fftshift_of_abs_bit_for_bit(rows, window_fn):
+    # Odd row counts split the shift unevenly: row 0 lands on row rows // 2.
+    rng = np.random.default_rng(rows)
+    profiles = (rng.standard_normal((rows, 9))
+                + 1j * rng.standard_normal((rows, 9)))
+    taper = (np.hanning(rows) if window_fn == "hann" else np.ones(rows))
+    expected = np.fft.fftshift(
+        np.abs(np.fft.fft(profiles * taper[:, None], axis=0)), axes=0)
+    rdm = range_doppler(profiles, cfg_of(n=9, m=rows), window_fn=window_fn)
+    assert rdm.values.dtype == expected.dtype
+    assert rdm.values.shape == expected.shape
+    assert rdm.values.tobytes() == expected.tobytes()
+
+
 def reference_local_maxima(mag):
     """Cells >= all 8 neighbors (circular on both axes), by 16 ``np.roll``s."""
     mask = np.ones_like(mag, dtype=bool)

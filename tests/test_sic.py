@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csisense.channel import Scene, Target, simulate_capture
 from csisense.rdmap import range_doppler, range_profiles
@@ -131,3 +133,88 @@ def test_subcarrier_vs_range_bin_equivalence():
     profiles = np.fft.ifft(grid, axis=1)
     second = profiles - np.mean(profiles, axis=0, keepdims=True)
     assert np.max(np.abs(first - second)) < 1e-12
+
+
+def test_static_complex64_grid_silent_at_its_own_precision():
+    # Single-precision residue sits near float32's eps, far above
+    # float64's, so the flush must scale with the grid's own precision.
+    rng = np.random.default_rng(6)
+    row = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    grid = np.tile(row, (7, 1)).astype(np.complex64)
+    cleaned = remove_dc(grid)
+    assert cleaned.dtype == np.complex64
+    assert not np.any(cleaned)
+
+
+def reference_remove_dc(grid):
+    """``remove_dc`` with the whole-grid flush it skips when no part of any
+    cell lies within the tolerance."""
+    grid = np.asarray(grid)
+    mean = np.mean(grid, axis=0, keepdims=True)
+    out = grid - mean
+    tolerance = 32.0 * np.finfo(out.dtype).eps * np.max(np.abs(mean))
+    out[np.abs(out) <= tolerance] = 0.0
+    return out
+
+
+# Residues in units of the flush tolerance's eps times the column level.
+_RESIDUE_STEPS = [0.0, 0.5, 0.7, 1.0, 16.0, 22.6, 31.0, 32.0, 33.0, 45.3,
+                  64.0]
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-45, 2.0 ** -1022,
+                  np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def dc_grids(draw):
+    """Small grids whose columns are a static level plus residues drawn at
+    and around the flush tolerance, with ±0.0, subnormal, inf and NaN parts
+    mixed in; complex, real and integer dtypes in either memory order."""
+    dtype = np.dtype(draw(st.sampled_from(
+        [np.complex128, np.complex64, np.float64, np.int64])))
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    if dtype.kind == "i":
+        levels = draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                               min_size=cols, max_size=cols))
+        noise = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                              max_size=rows * cols))
+        grid = (np.array(levels) + np.array(noise).reshape(rows, cols)
+                ).astype(dtype)
+        return np.asfortranarray(grid) if draw(st.booleans()) else grid
+    real = np.finfo(dtype).dtype
+    eps = float(np.finfo(real).eps)
+    level = st.one_of(st.just(0.0), st.floats(
+        min_value=-2.0 ** 100, max_value=2.0 ** 100, width=real.itemsize * 8))
+
+    def parts():
+        levels = draw(st.lists(level, min_size=cols, max_size=cols))
+        out = np.empty((rows, cols), dtype=real)
+        for r in range(rows):
+            for c in range(cols):
+                kind = draw(st.integers(0, 9), label="cell kind")
+                if kind == 0:
+                    out[r, c] = draw(st.sampled_from(_SPECIAL_PARTS))
+                elif kind == 1:
+                    out[r, c] = draw(st.floats(width=real.itemsize * 8))
+                else:
+                    step = draw(st.sampled_from(_RESIDUE_STEPS))
+                    sign = draw(st.sampled_from([-1.0, 1.0]))
+                    out[r, c] = levels[c] + sign * step * eps * abs(levels[c])
+        return out
+
+    if dtype.kind == "c":
+        grid = np.empty((rows, cols), dtype=dtype)
+        grid.real, grid.imag = parts(), parts()
+    else:
+        grid = parts().astype(dtype)
+    # A column-major grid gives a column-major difference.
+    return np.asfortranarray(grid) if draw(st.booleans()) else grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid=dc_grids())
+def test_remove_dc_matches_whole_grid_flush_bit_for_bit(grid):
+    with np.errstate(all="ignore"):
+        expected = reference_remove_dc(grid)
+        got = remove_dc(grid)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
