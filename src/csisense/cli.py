@@ -19,7 +19,7 @@ from . import capture_io, rdmap
 from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
                         load_scenario, simulate_scenario)
-from .sync import MAX_UPSAMPLE_FACTOR, SyncParams, synchronize
+from .sync import MAX_UPSAMPLE_FACTOR, SyncError, SyncParams, SyncReport
 from .waveform import (db_to_linear, doppler_resolution, make_config,
                        range_accuracy, range_resolution, unambiguous_limits)
 
@@ -178,24 +178,22 @@ def cmd_process(args) -> int:
         raise CaptureFormatError(
             f"capture {args.capture} has an unusable header: {exc}") from None
 
-    if not args.no_sync:
-        try:
-            capture, report = synchronize(capture, params)
-        except ValueError as exc:
-            # The arguments are already checked, so the capture is at fault.
-            raise CaptureFormatError(
-                f"capture {args.capture} defeats sync: {exc}") from None
-        if args.emit_sync_report:
-            capture_io.write_sync_report_json(args.emit_sync_report, report)
-
-    # Sync (if any) already ran over the whole capture; windows are
-    # independent from here on.
-    def maps():
+    # Sync, when on, runs block by block inside each pass over the windows.
+    def maps(sync_reports=None):
         return rdmap.window_maps(
-            capture, cfg, args.window, args.stride, apply_sync=False,
-            apply_sic=not args.no_sic)
+            capture, cfg, args.window, args.stride,
+            apply_sync=not args.no_sync, apply_sic=not args.no_sic,
+            sync_params=params, sync_reports=sync_reports)
 
-    detections = rdmap.track(maps(), threshold_db=args.threshold_db)
+    reports = [] if args.emit_sync_report else None
+    try:
+        detections = rdmap.track(maps(reports), threshold_db=args.threshold_db)
+    except SyncError as exc:
+        raise CaptureFormatError(
+            f"capture {args.capture} defeats sync: {exc}") from None
+    if reports is not None:
+        capture_io.write_sync_report_json(args.emit_sync_report,
+                                          SyncReport.concatenate(reports))
     if args.out:
         capture_io.write_detections_jsonl(args.out, detections)
     else:

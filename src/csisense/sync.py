@@ -7,7 +7,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,15 +47,42 @@ class SyncParams:
             raise ValueError("max_lag must be >= 1")
 
 
+class SyncError(ValueError):
+    """A capture that defeats sync: frame 0 has no correlation peak to take
+    the delay from."""
+
+
 @dataclass
 class SyncReport:
-    """Per-capture synchronization outcome."""
+    """Synchronization outcome of a capture, or of a block of its frames.
+
+    ``history_rad`` holds the last ``history_len`` corrected frame phases,
+    oldest first: where the phase recursion of the frames that follow
+    starts (see ``synchronize``'s ``prior``). It is not part of the JSON.
+    """
 
     coarse_lag_samples: int = 0
     fine_lag_samples: float = 0.0
     frame_phases_rad: np.ndarray = field(default_factory=lambda: np.zeros(0))
     corrections_rad: np.ndarray = field(default_factory=lambda: np.zeros(0))
     references_rad: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    history_rad: Tuple[float, ...] = ()
+
+    @classmethod
+    def concatenate(cls, reports: Sequence["SyncReport"]) -> "SyncReport":
+        """One report of consecutive blocks, each synchronized with the
+        report of the block before as its ``prior``: the report that one
+        call over all their frames gives."""
+        return cls(
+            coarse_lag_samples=reports[0].coarse_lag_samples,
+            fine_lag_samples=reports[0].fine_lag_samples,
+            frame_phases_rad=np.concatenate(
+                [r.frame_phases_rad for r in reports]),
+            corrections_rad=np.concatenate(
+                [r.corrections_rad for r in reports]),
+            references_rad=np.concatenate(
+                [r.references_rad for r in reports]),
+            history_rad=reports[-1].history_rad)
 
     @property
     def effective_lag_samples(self) -> float:
@@ -100,7 +127,7 @@ def coarse_delay(received_time: np.ndarray, max_lag: int) -> int:
         detail = ("received sequence is all zero" if not np.any(received_time)
                   else f"no tap within +-{max_lag} is nonzero; the strongest "
                   "tap lies beyond max_lag")
-        raise ValueError(f"no correlation peak: {detail}")
+        raise SyncError(f"no correlation peak: {detail}")
     return lag
 
 
@@ -199,6 +226,7 @@ def _unit(angle: float) -> complex:
 
 def align_phases(grid: np.ndarray,
                  params: Optional[SyncParams] = None, *,
+                 prior: Optional[SyncReport] = None,
                  out: Optional[np.ndarray] = None
                  ) -> Tuple[np.ndarray, SyncReport]:
     """Remove abrupt per-frame phase jumps, frame 0 as the reference.
@@ -210,6 +238,12 @@ def align_phases(grid: np.ndarray,
     untouched, so genuine Doppler progression and small drifts survive.
     A frame whose phase is undefined (see ``frame_phases``) takes the
     previous corrected phase, or 0 for frame 0. Magnitudes are never altered.
+
+    With ``prior``, the report of the frames just before ``grid`` (aligned
+    with the same ``params``), ``grid`` continues that capture: its first
+    frame is a later frame, and the recursion starts from
+    ``prior.history_rad``. So aligning a capture block by block gives the
+    same bits as one call, and each report covers its own block.
 
     As in numpy's ufuncs, ``out`` receives the aligned grid and is returned;
     pass the (complex128) input itself to align it in place. By default a
@@ -232,11 +266,20 @@ def align_phases(grid: np.ndarray,
     # A fix never changes its own frame's observed phase, so every phase
     # can be measured before any fix is applied.
     observed = frame_phases(grid).tolist()
-    last = 0.0 if math.isnan(observed[0]) else observed[0]
-    raw, fixes, refs = [last], [0.0], [last]
-    # Unit vectors of the last history_len corrected phases.
-    recent = deque([_unit(last)], maxlen=p.history_len)
-    for theta in observed[1:]:
+    if prior is None:
+        last = 0.0 if math.isnan(observed[0]) else observed[0]
+        raw, fixes, refs = [last], [0.0], [last]
+        history, observed = [last], observed[1:]
+    else:
+        if not prior.history_rad:
+            raise ValueError("prior report holds no phase history")
+        history = prior.history_rad
+        last = history[-1]
+        raw, fixes, refs = [], [], []
+    # The last history_len corrected phases, and their unit vectors.
+    tail = deque(history, maxlen=p.history_len)
+    recent = deque(map(_unit, tail), maxlen=p.history_len)
+    for theta in observed:
         if math.isnan(theta):
             theta = last
         vec = _numpy_sum(recent) * (1.0 / len(recent))
@@ -245,39 +288,56 @@ def align_phases(grid: np.ndarray,
         steps = _wrap(reference - theta) / delta
         fix = math.copysign(float(round(steps)), steps) * delta
         last = _wrap(theta + fix)
+        tail.append(last)
         recent.append(_unit(last))
         raw.append(theta)
         fixes.append(fix)
         refs.append(reference)
     report = SyncReport(frame_phases_rad=np.array(raw),
                         corrections_rad=np.array(fixes),
-                        references_rad=np.array(refs))
+                        references_rad=np.array(refs),
+                        history_rad=tuple(tail))
     rotation = np.exp(1j * report.corrections_rad)[:, None]
     return np.multiply(grid, rotation, out=out), report
 
 
-def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None
+def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None, *,
+                prior: Optional[SyncReport] = None
                 ) -> Tuple[np.ndarray, SyncReport]:
-    """Full sync pass over a capture: delay estimate from the dominant
-    (zero-delay coupling) return, compensation, then phase alignment.
+    """Full sync pass over a capture, or over a block of its frames: delay
+    estimate from the dominant (zero-delay coupling) return, compensation,
+    then phase alignment.
 
     The delay is the strongest tap of frame 0's impulse response (its
-    sample sequence), first to the sample, then to 1/upsample_factor.
+    sample sequence), first to the sample, then to 1/upsample_factor;
+    ``SyncError`` when that frame has no peak to take it from.
+
+    With ``prior``, the report of the frames just before ``grid`` (from a
+    call with the same ``params``), ``grid`` continues that capture: the
+    prior's lags stand, and the phase recursion carries on from its last
+    corrected phases (see ``align_phases``). So synchronizing a capture
+    block by block gives the same bits as one call; each report covers its
+    own block, and ``SyncReport.concatenate`` of them equals the one call's
+    report. The caller's grid is never written; the one copy made is a
+    complex128 one of ``grid``, so a whole capture costs a copy of it and a
+    block-by-block caller one block's.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 1:
         raise ValueError("need a non-empty 2-D frame-by-subcarrier grid")
-    n = grid.shape[-1]
-    max_lag = p.max_lag if p.max_lag is not None else max(1, n // 4)
-    received = time_domain(grid[0].astype(complex))
-    coarse = coarse_delay(received, max_lag)
-    fine = fine_delay(received, coarse, p.upsample_factor)
-    # The caller's grid is never written. compensate_delay's product (which
-    # upcasts a complex64 grid exactly) is the one complex128 copy made, and
-    # phase alignment rotates it in place.
+    if prior is None:
+        n = grid.shape[-1]
+        max_lag = p.max_lag if p.max_lag is not None else max(1, n // 4)
+        received = time_domain(grid[0].astype(complex))
+        coarse = coarse_delay(received, max_lag)
+        fine = fine_delay(received, coarse, p.upsample_factor)
+    else:
+        coarse, fine = prior.coarse_lag_samples, prior.fine_lag_samples
+    # compensate_delay's product (which upcasts a complex64 grid exactly) is
+    # the one copy, and phase alignment rotates it in place.
     grid = compensate_delay(grid, coarse + fine)
-    grid, report = align_phases(grid, p, out=grid)
+    grid, report = align_phases(grid, p, prior=prior, out=grid)
     report.coarse_lag_samples = int(coarse)
     report.fine_lag_samples = float(fine)
     return grid, report

@@ -1,12 +1,17 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from csisense.capture_io import (read_capture_array, write_capture,
+                                 write_sync_report_json)
 from csisense.cli import main
 from csisense.scenarios import parse_scenario
+from csisense.sync import SyncParams, synchronize
+from csisense.waveform import make_config
 
 SMALL_SCENARIO = """\
 subcarriers = 64
@@ -286,6 +291,31 @@ def test_process_emits_reports(workdir, tmp_path):
     assert len(lines) == 1 + 16
 
 
+def test_process_sync_report_spans_every_block(tmp_path):
+    # A capture of several blocks, synchronized inside the stream with
+    # non-default parameters, reports what one synchronize call does.
+    cfg = make_config(n_subcarriers=16, n_frames=8,
+                      subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
+                      carrier_freq_hz=6.3e9)
+    rng = np.random.default_rng(6)
+    jumps = np.exp(0.5j * np.pi * rng.integers(0, 4, (150, 1)))
+    grid = jumps * (np.exp(-0.5j * np.pi * np.arange(16) / 16)
+                    + 0.1 * rng.standard_normal((150, 16)))
+    cap = tmp_path / "cap.bin"
+    write_capture(cap, cfg, grid)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert main(["process", str(cap), "--window", "8", "--history", "3",
+                 "--delta", "1.5", "--upsample", "4", "--max-lag", "3",
+                 "--out", str(tmp_path / "d.jsonl"),
+                 "--emit-sync-report", str(got)]) == 0
+    _, capture = read_capture_array(cap)
+    _, report = synchronize(capture, SyncParams(
+        upsample_factor=4, phase_step_rad=1.5, history_len=3, max_lag=3))
+    write_sync_report_json(want, report)
+    assert len(report.frame_phases_rad) == 150
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_process_spectrogram_pgm(workdir, tmp_path):
     pgm = tmp_path / "prof.pgm"
     assert main(["process", str(workdir / "cap.bin"), "--window", "16",
@@ -413,6 +443,19 @@ def test_process_unsyncable_capture_exits_2(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err and "received sequence is all zero" in err
     assert not out.exists()
+    # Sync runs inside the pass over the windows; it refuses before any
+    # output is written.
+    report, maps, profile = (tmp_path / "sync.json", tmp_path / "maps",
+                             tmp_path / "profile.csv")
+    assert main(["process", str(bad), "--window", "16", "--out", str(out),
+                 "--emit-sync-report", str(report), "--emit-maps", str(maps),
+                 "--emit-spectrogram", str(profile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"csisense: capture {bad} defeats sync: no "
+                            "correlation peak: received sequence is all "
+                            "zero\n")
+    assert captured.out == ""
+    assert not any(p.exists() for p in (out, report, maps, profile))
 
 
 def test_process_max_lag_beyond_capture_exits_3(workdir, tmp_path, capsys):
@@ -423,6 +466,36 @@ def test_process_max_lag_beyond_capture_exits_3(workdir, tmp_path, capsys):
     assert "--max-lag 64 must be below the capture's 64 subcarriers" \
         in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+# Beyond its complex64 capture, process holds one block's working set,
+# whatever the capture length: at 256 subcarriers 1.4 MB with sync and
+# 0.8 MB without, on numpy 2.4 (a whole-capture complex128 copy is 4.2 MB
+# per 1024 frames).
+PROCESS_WORKING_SET_BYTES = 2_500_000
+
+
+@pytest.mark.parametrize("frames", [2048, 8192])
+def test_process_holds_the_capture_and_one_block(tmp_path, frames):
+    cfg = make_config(n_subcarriers=256, n_frames=32,
+                      subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
+                      carrier_freq_hz=6.3e9)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((frames, 2 * 256), dtype=np.float32)
+    grid = 1.0 + 0.01 * noise.view(np.complex64)  # a zero-delay coupling
+    cap = tmp_path / "cap.bin"
+    write_capture(cap, cfg, grid)
+    capture_bytes = grid.nbytes
+    del noise, grid
+    for extra in ([], ["--no-sync"]):
+        tracemalloc.start()
+        try:
+            assert main(["process", str(cap), "--stride", "32",
+                         "--out", str(tmp_path / "d.jsonl"), *extra]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - capture_bytes < PROCESS_WORKING_SET_BYTES, extra
 
 
 def test_process_truncated_capture_exits_2(workdir, tmp_path):

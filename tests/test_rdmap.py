@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import tracemalloc
 from typing import List
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from csisense import rdmap
 from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
                               simulate_capture, simulate_trajectory)
 from csisense.rdmap import (Detection, RangeDopplerMap, _median,
@@ -16,6 +19,7 @@ from csisense.rdmap import (Detection, RangeDopplerMap, _median,
                             range_doppler, range_profiles, track, window_maps,
                             window_starts)
 from csisense.sic import remove_dc
+from csisense.sync import SyncError, SyncParams, SyncReport, synchronize
 from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
                                make_config, range_resolution,
                                unambiguous_limits)
@@ -523,8 +527,7 @@ def _reference_window_maps(capture, cfg, window, stride, apply_sic,
 @st.composite
 def _window_runs(draw):
     """(capture, window, stride, static): stride at, below and above the
-    window, and window counts on and off a multiple of the chunk of
-    ``window // stride + 1`` windows."""
+    window, and captures that end up to a stride past the last window."""
     window = draw(st.integers(2, 12))
     stride = draw(st.one_of(st.just(window), st.integers(1, window + 3)))
     n_windows = draw(st.integers(1, 3 * (window // stride + 1) + 1))
@@ -564,6 +567,43 @@ def test_window_maps_match_per_window_reference(run, window_fn, apply_sic):
             assert peak_cell(new) == peak_cell(old)
         if static and apply_sic:
             assert not np.any(new.values) and not np.any(old.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_window_runs(), block=st.integers(1, 16),
+       history_len=st.integers(1, 8), single=st.booleans())
+def test_window_maps_stream_is_block_size_free(run, block, history_len,
+                                               single):
+    # Blocks of 1 to 16 frames, shorter and longer than the window, give
+    # the maps of the module's block size, and the stream's sync gives the
+    # maps and the report of one synchronize call over the whole capture.
+    capture, window, stride, _ = run
+    if single:
+        capture = capture.astype(np.complex64)
+    cfg = cfg_of(n=capture.shape[1], m=window)
+    params = SyncParams(history_len=history_len)
+
+    def maps(capture, **kwargs):
+        return [(rdm.timestamp_s, rdm.values.tobytes()) for rdm in
+                window_maps(capture, cfg, window, stride, **kwargs)]
+
+    try:
+        synced, report = synchronize(capture, params)
+    except SyncError:
+        synced = report = None
+    want = maps(capture, apply_sync=False)
+    reports = []
+    with mock.patch.object(rdmap, "_BLOCK_FRAMES", block):
+        assert maps(capture, apply_sync=False) == want
+        if synced is None:
+            with pytest.raises(SyncError):
+                maps(capture, sync_params=params)
+            return
+        got = maps(capture, sync_params=params, sync_reports=reports)
+    assert got == maps(synced, apply_sync=False)
+    assert sum(len(r.frame_phases_rad) for r in reports) == len(capture)
+    assert (json.dumps(SyncReport.concatenate(reports).to_json_dict())
+            == json.dumps(report.to_json_dict()))
 
 
 def test_window_maps_memory_stays_flat():

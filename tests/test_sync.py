@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csisense.channel import Impairments, Scene, Target, simulate_capture
-from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncParams, align_phases,
-                           coarse_delay, compensate_delay, fine_delay,
-                           frame_phases, synchronize, time_domain)
+from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncError, SyncParams,
+                           SyncReport, align_phases, coarse_delay,
+                           compensate_delay, fine_delay, frame_phases,
+                           synchronize, time_domain)
 from csisense.waveform import make_config
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
@@ -487,6 +489,62 @@ def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
     result, _ = align_phases(in_place, params, out=in_place)
     assert result is in_place
     assert in_place.tobytes() == aligned.tobytes()
+
+
+@st.composite
+def _split_grids(draw):
+    """A grid of ``_frame_grids`` and the frame bounds of its blocks."""
+    grid = draw(_frame_grids())
+    n_frames = len(grid)
+    cuts = draw(st.lists(st.integers(1, n_frames - 1), unique=True)
+                if n_frames > 1 else st.just([]))
+    return grid, [0, *sorted(cuts), n_frames]
+
+
+def _boundary_grid(dtype):
+    """Frame 0 with a zero mean (an undefined phase) but a tap within the
+    lag search, and all-zero frames on both sides of the bound at 5."""
+    rng = np.random.default_rng(3)
+    grid = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 8)))
+    grid[0] = [1, 2, 3, 4, -1, -2, -3, -4]
+    grid[4:6] = 0.0
+    return grid.astype(dtype), [0, 1, 3, 5, 6, 12]
+
+
+@settings(max_examples=150, deadline=None)
+@given(split=_split_grids(), history_len=st.integers(1, 8),
+       delta=st.sampled_from([np.pi / 3, np.pi / 2, np.pi, 0.1]))
+@example(split=_boundary_grid(complex), history_len=8, delta=np.pi / 2)
+@example(split=_boundary_grid(np.complex64), history_len=3, delta=np.pi / 2)
+def test_synchronize_block_by_block_equals_one_call(split, history_len,
+                                                    delta):
+    # Each block continues from the report of the block before; the blocks
+    # are often shorter than the phase history.
+    grid, bounds = split
+    params = SyncParams(phase_step_rad=delta, history_len=history_len)
+    try:
+        whole, report = synchronize(grid, params)
+    except SyncError:
+        with pytest.raises(SyncError):
+            synchronize(grid[:bounds[1]], params)
+        return
+    blocks, reports, prior = [], [], None
+    for lo, hi in zip(bounds, bounds[1:]):
+        block, prior = synchronize(grid[lo:hi], params, prior=prior)
+        assert len(prior.frame_phases_rad) == hi - lo
+        blocks.append(block)
+        reports.append(prior)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    joined = SyncReport.concatenate(reports)
+    # json.dumps tells -0.0 from 0.0, which dict equality does not.
+    assert (json.dumps(joined.to_json_dict())
+            == json.dumps(report.to_json_dict()))
+    assert repr(joined.history_rad) == repr(report.history_rad)
+
+
+def test_synchronize_prior_needs_a_phase_history():
+    with pytest.raises(ValueError, match="no phase history"):
+        synchronize(np.ones((2, 8)), prior=SyncReport())
 
 
 @settings(max_examples=300, deadline=None)
