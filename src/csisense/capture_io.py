@@ -12,7 +12,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import IO, List, Sequence, Tuple
+from typing import IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,17 +63,18 @@ def write_capture(path, cfg: WaveformConfig, frames: np.ndarray) -> int:
     return frames.shape[0]
 
 
-def _check_finite(frames: np.ndarray, detail: str = "") -> None:
+def _check_finite(frames: np.ndarray, detail: str = "",
+                  first: int = 0) -> None:
     """Raise on the first non-finite sample in file order, checking a block
-    of frames at a time."""
+    of frames at a time; ``frames[0]`` is frame ``first`` of the file."""
     step = max(1, _FINITE_BLOCK_SAMPLES // frames.shape[1])
     for lo in range(0, len(frames), step):
         finite = np.isfinite(frames[lo:lo + step])
         if not finite.all():
             index, bad = np.argwhere(~finite)[0]
             raise CaptureFormatError(
-                f"non-finite sample at frame {lo + index}, subcarrier {bad}"
-                f"{detail}")
+                f"non-finite sample at frame {first + lo + index}, "
+                f"subcarrier {bad}{detail}")
 
 
 def _pack_header(cfg: WaveformConfig, n_frames: int) -> bytes:
@@ -99,32 +100,75 @@ def read_header(fh: IO[bytes]) -> CaptureHeader:
                          frame_interval_s=interval)
 
 
-def read_capture_array(path) -> Tuple[CaptureHeader, np.ndarray]:
-    """Whole capture as an (n_frames, n_subcarriers) complex64 array.
+def read_capture_array(path, start: int = 0, stop: Optional[int] = None
+                       ) -> Tuple[CaptureHeader, np.ndarray]:
+    """Frames ``[start, stop)`` of a capture as an (frames, n_subcarriers)
+    complex64 array; by default the whole capture.
 
-    The payload is sized from the file's length before it is read, so a
-    header that overstates the frame or subcarrier count allocates no more
-    than the file holds. Faults raise in file order: a non-finite sample (named by frame
-    and subcarrier), then a truncated frame, then bytes past the header's
-    last frame."""
+    Each call opens the file, checks its header and reads the range alone,
+    sized from the file's length, so a header that overstates the frame or
+    subcarrier count allocates no more than the file holds. Faults raise in
+    file order: a non-finite sample in the range (named by frame and
+    subcarrier), then a file that ends inside the range, then, when the
+    range reaches the header's last frame, bytes past that frame."""
     with open(path, "rb") as fh:
         header = read_header(fh)
+        stop = header.n_frames if stop is None else stop
+        if not 0 <= start <= stop <= header.n_frames:
+            raise ValueError(f"frames [{start}, {stop}) are not within the "
+                             f"capture's {header.n_frames}")
         frame_bytes = header.n_subcarriers * _ENTRY_BYTES
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        whole = min(header.n_frames, payload // frame_bytes)
-        frames = np.fromfile(fh, dtype="<c8",
-                             count=whole * header.n_subcarriers)
-    frames = frames.reshape(whole, header.n_subcarriers)
-    _check_finite(frames)
-    if whole < header.n_frames:
+        end = min(stop, payload // frame_bytes)  # the file may end first
+        frames = np.empty((max(0, end - start), header.n_subcarriers),
+                          dtype="<c8")
+        fh.seek(_HEADER.size + start * frame_bytes)
+        if fh.readinto(frames) != frames.nbytes:
+            raise CaptureFormatError("capture shrank while it was read")
+    _check_finite(frames, first=start)
+    _check_length(header, payload, stop)
+    return header, frames
+
+
+def _check_length(header: CaptureHeader, payload: int, stop: int) -> None:
+    """Raise if a payload of ``payload`` bytes ends before frame ``stop``,
+    or, when ``stop`` is the header's frame count, continues past it."""
+    frame_bytes = header.n_subcarriers * _ENTRY_BYTES
+    whole = min(header.n_frames, payload // frame_bytes)
+    if whole < stop:
         raise CaptureFormatError(
             f"truncated at frame {whole}: expected {frame_bytes} bytes, "
             f"got {payload - whole * frame_bytes}")
-    if payload > whole * frame_bytes:
+    if stop == header.n_frames and payload > whole * frame_bytes:
         raise CaptureFormatError(
             f"payload continues past the {header.n_frames} frames the "
             f"header declares")
-    return header, frames
+
+
+class CaptureFile:
+    """A capture as a source of frames read from disk on demand:
+    ``cap[lo:hi]`` is ``read_capture_array(path, lo, hi)``'s array.
+
+    Opening checks the header, and the file's length against it, so a
+    truncated or padded file is refused before any payload is read; a
+    non-finite sample is refused by the read of the frames that hold it.
+    No file stays open between reads."""
+
+    ndim = 2
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.header = read_header(fh)
+            payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        _check_length(self.header, payload, self.header.n_frames)
+        self.shape = (self.header.n_frames, self.header.n_subcarriers)
+
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        start, stop, step = frames.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("frames are read as a contiguous range")
+        return read_capture_array(self.path, start, stop)[1]
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,11 @@ def cmd_process(args) -> int:
         history_len=args.history, max_lag=args.max_lag)
     # Window and stride alone, before the read; the capture length after.
     rdmap.window_starts(args.window, args.window, args.stride)
-    header, capture = capture_io.read_capture_array(args.capture)
-    rdmap.window_starts(capture.shape[0], args.window, args.stride)
+    # The header and the file's length are checked here; each sample when
+    # the pass over the windows reads its block, before anything is written.
+    capture = capture_io.CaptureFile(args.capture)
+    header = capture.header
+    rdmap.window_starts(header.n_frames, args.window, args.stride)
     if args.max_lag is not None and args.max_lag >= header.n_subcarriers:
         raise ValueError(f"--max-lag {args.max_lag} must be below the "
                          f"capture's {header.n_subcarriers} subcarriers")

@@ -239,7 +239,7 @@ def window_starts(n_frames: int, window: int, stride: int) -> range:
     return range(0, n_frames - window + 1, stride)
 
 
-def window_maps(capture: np.ndarray, cfg: WaveformConfig,
+def window_maps(capture, cfg: WaveformConfig,
                 window: int, stride: int = 1, *,
                 apply_sync: bool = True, apply_sic: bool = True,
                 window_fn: str = "hann",
@@ -248,7 +248,10 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
                 ) -> Iterator[RangeDopplerMap]:
     """Yield one range-Doppler map per sliding window, center-timestamped.
 
-    The capture is walked once, in blocks of ``_BLOCK_FRAMES`` frames.
+    ``capture`` is any 2-D frame-by-subcarrier source whose slices are
+    arrays: an ndarray, or a ``capture_io.CaptureFile`` that reads each
+    slice from disk. It is walked once, in blocks of ``_BLOCK_FRAMES``
+    frames, every frame read even past the last window.
     With ``apply_sync`` each block is synchronized (``sync_params``, by
     default ``SyncParams()``) as the continuation of the block before, which
     gives the same bits as one pass over the whole capture; each block's
@@ -256,11 +259,11 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     ``SyncReport.concatenate`` of them is the capture's report. Each frame's
     range profile is then taken once, and the profiles later windows need
     (at most ``window - 1`` frames) are carried into the next block. So
-    memory beyond the caller's capture is one block's working set, flat in
-    the capture length. Each window slices its profiles, is DC-removed (mean removal
-    commutes with the range transform) and gets its Doppler transform.
+    memory beyond the capture itself (nothing, for a ``CaptureFile``) is
+    one block's working set, flat in the capture length. Each window slices
+    its profiles, is DC-removed (mean removal commutes with the range
+    transform) and gets its Doppler transform.
     """
-    capture = np.asarray(capture)
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
     starts = window_starts(capture.shape[0], window, stride)
@@ -269,7 +272,7 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
     start = next(pending)
     half = (window - 1) / 2.0
     report = None
-    held = capture[:0]  # profiles of the frames from `start` on
+    held = np.empty(0)  # profiles of the frames from `start` on
     for lo in range(0, capture.shape[0], _BLOCK_FRAMES):
         block = capture[lo:lo + _BLOCK_FRAMES]
         if apply_sync:
@@ -277,7 +280,7 @@ def window_maps(capture: np.ndarray, cfg: WaveformConfig,
             if sync_reports is not None:
                 sync_reports.append(report)
         if start is None:
-            continue  # past the last window: synchronized for the report
+            continue  # past the last window: read for the check and report
         # The carried rows are copied out, so the last block's profiles are
         # freed before this block's are taken, and the block before its
         # maps are formed: one block's arrays are alive at a time.

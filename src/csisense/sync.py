@@ -4,6 +4,7 @@ that removes quantized phase jumps while keeping small drifts."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -153,11 +154,20 @@ def fine_delay(received_time: np.ndarray, coarse_lag: int,
     return (lag - coarse_lag * u) / u
 
 
+@functools.lru_cache(maxsize=8)
+def _delay_ramp(n_sub: int, lag_samples: float) -> np.ndarray:
+    """Read-only per-subcarrier counter-rotation of ``compensate_delay``;
+    cached because a block-by-block pass applies one lag to every block."""
+    n = np.arange(n_sub)
+    ramp = np.exp(2j * np.pi * n * lag_samples / n_sub)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def compensate_delay(grid: np.ndarray, lag_samples: float) -> np.ndarray:
     """Undo a sample-delay offset: counter-rotate each subcarrier's phase so
     the zero-delay return lands on range bin 0."""
-    n = np.arange(grid.shape[-1])
-    return grid * np.exp(2j * np.pi * n * lag_samples / grid.shape[-1])
+    return grid * _delay_ramp(grid.shape[-1], lag_samples)
 
 
 def _wrap(angle: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csisense.capture_io import (_ENTRY_BYTES, _FINITE_BLOCK_SAMPLES,
-                                 _HEADER, CaptureFormatError,
+                                 _HEADER, CaptureFile, CaptureFormatError,
                                  CaptureHeader, Trajectory, _pack_header,
                                  read_capture_array, read_detections_jsonl,
                                  read_ground_truth, read_header,
@@ -231,12 +232,9 @@ def test_round_trip_matches_streaming_reference(tmp_path_factory, grid):
     assert again.read_bytes() == path.read_bytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(grid=small_grids, data=st.data())
-def test_malformed_capture_matches_streaming_reference(tmp_path_factory,
-                                                       grid, data):
-    path = tmp_path_factory.mktemp("codec") / "cap.bin"
-    write_capture(path, small_cfg(grid.shape[1]), grid)
+def malform(path, grid, data) -> None:
+    """Rewrite a capture of ``grid`` with drawn faults: non-finite samples,
+    a changed frame count, a cut, appended bytes."""
     raw = bytearray(path.read_bytes())
     if grid.size and data.draw(st.booleans(), label="non-finite"):
         for _ in range(data.draw(st.integers(1, 3), label="cells")):
@@ -251,8 +249,100 @@ def test_malformed_capture_matches_streaming_reference(tmp_path_factory,
     if data.draw(st.booleans(), label="append"):
         raw += data.draw(st.binary(min_size=1, max_size=40))
     path.write_bytes(bytes(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=small_grids, data=st.data())
+def test_malformed_capture_matches_streaming_reference(tmp_path_factory,
+                                                       grid, data):
+    path = tmp_path_factory.mktemp("codec") / "cap.bin"
+    write_capture(path, small_cfg(grid.shape[1]), grid)
+    malform(path, grid, data)
     assert read_outcome(read_capture_array, path) \
         == read_outcome(reference_read_capture_array, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=small_grids, data=st.data())
+def test_positional_read_is_a_slice_of_the_whole(tmp_path_factory, grid,
+                                                 data):
+    path = tmp_path_factory.mktemp("codec") / "cap.bin"
+    write_capture(path, small_cfg(grid.shape[1]), grid)
+    stop = data.draw(st.integers(0, len(grid)), label="stop")
+    start = data.draw(st.integers(0, stop), label="start")
+    whole_header, whole = read_capture_array(path)
+    header, frames = read_capture_array(path, start, stop)
+    part = whole[start:stop]
+    assert header == whole_header
+    assert frames.dtype == part.dtype and frames.shape == part.shape
+    assert frames.tobytes() == part.tobytes()
+    cap = CaptureFile(path)
+    assert cap.header == header and cap.shape == grid.shape
+    assert cap[start:stop].tobytes() == frames.tobytes()
+
+
+def reference_read_until(path, stop):
+    """The streaming reference consumed for its first ``stop`` frames; to
+    its end, and so through its trailing-bytes check, at the header's
+    frame count."""
+    header, frames = reference_read_capture(path)
+    if stop < header.n_frames:
+        frames = itertools.islice(frames, stop)
+    rows = list(frames)
+    if rows:
+        return header, np.vstack(rows)
+    return header, np.zeros((0, header.n_subcarriers), dtype=np.complex64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=small_grids, data=st.data())
+def test_malformed_positional_read_matches_streaming_reference(
+        tmp_path_factory, grid, data):
+    path = tmp_path_factory.mktemp("codec") / "cap.bin"
+    write_capture(path, small_cfg(grid.shape[1]), grid)
+    malform(path, grid, data)
+    try:
+        with open(path, "rb") as fh:
+            n_frames = read_header(fh).n_frames
+    except CaptureFormatError:
+        n_frames = 0  # both readers refuse the header first
+    stop = data.draw(st.integers(0, n_frames), label="stop")
+    assert read_outcome(lambda p: read_capture_array(p, 0, stop), path) \
+        == read_outcome(lambda p: reference_read_until(p, stop), path)
+
+
+def test_positional_read_outside_the_capture_is_refused(tmp_path):
+    path = tmp_path / "cap.bin"
+    write_capture(path, small_cfg(4), np.ones((3, 4), dtype=np.complex64))
+    for start, stop in ((2, 1), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError, match="not within the capture's 3"):
+            read_capture_array(path, start, stop)
+    cap = CaptureFile(path)
+    assert cap[1:10].shape == (2, 4) and cap[5:9].shape == (0, 4)
+    with pytest.raises(ValueError, match="contiguous"):
+        cap[::2]
+
+
+@pytest.mark.parametrize("cut, message", [
+    (-3, "truncated at frame 2: expected 32 bytes, got 29"),
+    (3, "payload continues past the 3 frames the header declares"),
+], ids=["truncated", "padded"])
+def test_capture_file_checks_the_length_before_the_samples(tmp_path, cut,
+                                                           message):
+    # A NaN in frame 0 is what the whole read names first; opening the
+    # capture as a frame source names the length fault, from the file's
+    # size alone.
+    path = tmp_path / "cap.bin"
+    grid = np.ones((3, 4), dtype=np.complex64)
+    write_capture(path, small_cfg(4), grid)
+    raw = bytearray(path.read_bytes())
+    raw[_HEADER.size:_HEADER.size + 4] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(raw[:cut] if cut < 0 else raw + bytes(cut)))
+    with pytest.raises(CaptureFormatError,
+                       match="^non-finite sample at frame 0, subcarrier 0$"):
+        read_capture_array(path)
+    with pytest.raises(CaptureFormatError, match=f"^{message}$"):
+        CaptureFile(path)
 
 
 @pytest.mark.parametrize("offset, message", [
@@ -303,6 +393,8 @@ def test_non_finite_sample_named_across_blocks(tmp_path, cells, first):
     message = f"non-finite sample at frame {first[0]}, subcarrier {first[1]}"
     with pytest.raises(CaptureFormatError, match=f"^{message}$"):
         read_capture_array(path)
+    with pytest.raises(CaptureFormatError, match=f"^{message}$"):
+        read_capture_array(path, 1)  # blocks counted from frame 1
     with pytest.raises(CaptureFormatError,
                        match=f"^{message} as complex64$"):
         write_capture(tmp_path / "refused.bin", cfg, grid)

@@ -1,13 +1,18 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csisense.capture_io import (read_capture_array, write_capture,
-                                 write_sync_report_json)
+import csisense
+from csisense.capture_io import (CaptureFormatError, read_capture_array,
+                                 write_capture, write_sync_report_json)
 from csisense.cli import main
 from csisense.scenarios import parse_scenario
 from csisense.sync import SyncParams, synchronize
@@ -468,25 +473,28 @@ def test_process_max_lag_beyond_capture_exits_3(workdir, tmp_path, capsys):
     assert not out.exists() and not report.exists()
 
 
-# Beyond its complex64 capture, process holds one block's working set,
-# whatever the capture length: at 256 subcarriers 1.4 MB with sync and
-# 0.8 MB without, on numpy 2.4 (a whole-capture complex128 copy is 4.2 MB
-# per 1024 frames).
+def coupling_capture(path, frames, n_sub=256):
+    """A capture whose every frame is a zero-delay coupling plus noise."""
+    cfg = make_config(n_subcarriers=n_sub, n_frames=32,
+                      subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
+                      carrier_freq_hz=6.3e9)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((frames, 2 * n_sub), dtype=np.float32)
+    write_capture(path, cfg, 1.0 + 0.01 * noise.view(np.complex64))
+    return frames * n_sub * 8  # the payload's bytes
+
+
+# Beyond the capture's complex64 bytes, process holds at most one block's
+# working set, whatever the capture length: at 256 subcarriers 1.4 MB with
+# sync and 0.8 MB without, on numpy 2.4 (a whole-capture complex128 copy
+# is 4.2 MB per 1024 frames). The next test bounds the whole peak.
 PROCESS_WORKING_SET_BYTES = 2_500_000
 
 
 @pytest.mark.parametrize("frames", [2048, 8192])
 def test_process_holds_the_capture_and_one_block(tmp_path, frames):
-    cfg = make_config(n_subcarriers=256, n_frames=32,
-                      subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
-                      carrier_freq_hz=6.3e9)
-    rng = np.random.default_rng(5)
-    noise = rng.standard_normal((frames, 2 * 256), dtype=np.float32)
-    grid = 1.0 + 0.01 * noise.view(np.complex64)  # a zero-delay coupling
     cap = tmp_path / "cap.bin"
-    write_capture(cap, cfg, grid)
-    capture_bytes = grid.nbytes
-    del noise, grid
+    capture_bytes = coupling_capture(cap, frames)
     for extra in ([], ["--no-sync"]):
         tracemalloc.start()
         try:
@@ -496,6 +504,62 @@ def test_process_holds_the_capture_and_one_block(tmp_path, frames):
         finally:
             tracemalloc.stop()
         assert peak - capture_bytes < PROCESS_WORKING_SET_BYTES, extra
+
+
+# process reads the capture from its file a block of frames at a time, so
+# its whole peak is one block's working set: at 256 subcarriers 1.2 MB
+# with sync and 0.9 MB without, on numpy 2.4, against captures of 4 and
+# 16 MB.
+PROCESS_PEAK_BYTES = 2_000_000
+
+
+@pytest.mark.parametrize("frames", [2048, 8192])
+def test_process_peak_is_flat_in_capture_length(tmp_path, frames):
+    cap = tmp_path / "cap.bin"
+    coupling_capture(cap, frames)
+    for extra in ([], ["--no-sync"]):
+        tracemalloc.start()
+        try:
+            assert main(["process", str(cap), "--stride", "32",
+                         "--out", str(tmp_path / "d.jsonl"), *extra]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PROCESS_PEAK_BYTES, extra
+
+
+# Minor page faults of one in-process process call on a 10000-frame,
+# 512-subcarrier capture (41 MB), after a first call, in a fresh
+# interpreter: 423 on glibc 2.36, numpy 2.4, against 600 to 10000 for a
+# read of the whole capture. A block order that makes malloc return a
+# block's arrays to the system and fault them back in for the next block
+# costs tens of thousands. The interpreter is fresh because malloc sets its
+# thresholds from what the process freed before. Only the default path is
+# checked: with --no-sync the same code reads 294 or 34854, flipped by as
+# little as the length of argv.
+PROCESS_MINOR_FAULTS = 3000
+
+_COUNT_FAULTS = """
+import resource, sys
+from csisense.cli import main
+assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_process_does_not_refault_each_block(tmp_path):
+    cap = tmp_path / "cap.bin"
+    coupling_capture(cap, 10000, n_sub=512)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(csisense.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _COUNT_FAULTS, "process", str(cap),
+         "--stride", "32", "--out", str(tmp_path / "d.jsonl")],
+        env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) < PROCESS_MINOR_FAULTS
 
 
 def test_process_truncated_capture_exits_2(workdir, tmp_path):
@@ -520,6 +584,56 @@ def test_process_non_finite_sample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.jsonl").exists()
 
 
+def test_process_late_non_finite_sample_exits_2(tmp_path, capsys):
+    # The pass that forms the detections reads every block before anything
+    # is written, so a bad sample in the last block is refused with no
+    # output, whatever is asked for.
+    scenario = tmp_path / "long.scenario"
+    scenario.write_text(SMALL_SCENARIO.replace(
+        "frame_count = 48", "frame_count = 256").replace(
+        "1.2, 10.3", "6.4, 11.6"))
+    cap = tmp_path / "cap.bin"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "3",
+                 "--out", str(cap)]) == 0
+    raw = bytearray(cap.read_bytes())
+    offset = 38 + (200 * 64 + 37) * 8 + 4  # imaginary part
+    raw[offset:offset + 4] = struct.pack("<f", float("inf"))
+    cap.write_bytes(bytes(raw))
+    outputs = (tmp_path / "d.jsonl", tmp_path / "sync.json",
+               tmp_path / "maps", tmp_path / "profile.csv")
+    capsys.readouterr()
+    for out in ([], ["--out", str(outputs[0])]):
+        assert main(["process", str(cap), *out,
+                     "--emit-sync-report", str(outputs[1]),
+                     "--emit-maps", str(outputs[2]),
+                     "--emit-spectrogram", str(outputs[3])]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("csisense: non-finite sample at frame 200, "
+                                "subcarrier 37\n")
+        assert captured.out == ""
+        assert not any(p.exists() for p in outputs)
+
+
+def test_process_names_truncation_before_an_earlier_bad_sample(
+        workdir, tmp_path, capsys):
+    # The whole read names faults in file order; process checks the file's
+    # length when it opens the capture, before it reads any sample.
+    raw = bytearray((workdir / "cap.bin").read_bytes())
+    offset = 38 + (5 * 64 + 9) * 8
+    raw[offset:offset + 4] = struct.pack("<f", float("nan"))
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(bytes(raw[:38 + 20 * 64 * 8 + 17]))
+    with pytest.raises(CaptureFormatError,
+                       match="^non-finite sample at frame 5, subcarrier 9$"):
+        read_capture_array(cut)
+    out = tmp_path / "d.jsonl"
+    assert main(["process", str(cut), "--window", "16",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("csisense: truncated at frame 20: "
+                                       "expected 512 bytes, got 17\n")
+    assert not out.exists()
+
+
 def test_process_non_finite_header_exits_2(workdir, tmp_path, capsys):
     raw = bytearray((workdir / "cap.bin").read_bytes())
     raw[14:22] = struct.pack("<d", float("nan"))  # carrier frequency
@@ -539,7 +653,9 @@ def test_process_trailing_bytes_exits_2(workdir, tmp_path, capsys):
 
 
 def test_process_unpatched_frame_count_exits_2(workdir, tmp_path, capsys):
-    # A header that declares 0 frames over a full payload.
+    # A header that declares 0 frames over a full payload: the length check
+    # when the capture is opened refuses it (exit 2) before the window
+    # check could call it too short (exit 3).
     raw = bytearray((workdir / "cap.bin").read_bytes())
     raw[10:14] = struct.pack("<I", 0)
     unpatched = tmp_path / "unpatched.bin"

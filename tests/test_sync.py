@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from csisense.channel import Impairments, Scene, Target, simulate_capture
 from csisense.sync import (MAX_UPSAMPLE_FACTOR, SyncError, SyncParams,
-                           SyncReport, align_phases, coarse_delay,
-                           compensate_delay, fine_delay, frame_phases,
-                           synchronize, time_domain)
+                           SyncReport, _delay_ramp, align_phases,
+                           coarse_delay, compensate_delay, fine_delay,
+                           frame_phases, synchronize, time_domain)
 from csisense.waveform import make_config
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
@@ -150,6 +150,23 @@ def test_compensate_cancels_ramp():
     grid = np.tile(ramp, (4, 1))
     fixed = compensate_delay(grid, 3.0)
     assert np.allclose(fixed, np.ones((4, n)), atol=1e-12)
+
+
+@pytest.mark.parametrize("lag", [0.0, 3.0, -1.3125, 17.0625])
+def test_compensate_matches_uncached_ramp(lag):
+    # The counter-rotation is cached per (subcarriers, lag); each call's
+    # product has the bits of the expression it replaced, and the cached
+    # ramp cannot be written through.
+    grid = np.random.default_rng(4).standard_normal((3, 2 * 48))
+    grid = grid.astype(np.float32).view(np.complex64)
+    n = np.arange(48)
+    expected = grid * np.exp(2j * np.pi * n * lag / 48)
+    for _ in range(2):
+        fixed = compensate_delay(grid, lag)
+        assert fixed.dtype == expected.dtype
+        assert fixed.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        _delay_ramp(48, lag)[0] = 0.0
 
 
 def test_compensated_coupling_sits_at_bin_zero():
