@@ -105,66 +105,57 @@ def read_capture_array(path, start: int = 0, stop: Optional[int] = None
     """Frames ``[start, stop)`` of a capture as an (frames, n_subcarriers)
     complex64 array; by default the whole capture.
 
-    Each call opens the file, checks its header and reads the range alone,
-    sized from the file's length, so a header that overstates the frame or
-    subcarrier count allocates no more than the file holds. Faults raise in
-    file order: a non-finite sample in the range (named by frame and
-    subcarrier), then a file that ends inside the range, then, when the
-    range reaches the header's last frame, bytes past that frame."""
+    Each call opens the file and checks, in this order: the header; the
+    file's length against the header, from its size before any sample is
+    allocated or read, so a truncated or padded file is refused whatever the
+    range and a header that overstates the frame or subcarrier count costs
+    no memory; the range; then the first non-finite sample in the range,
+    named by frame and subcarrier."""
     with open(path, "rb") as fh:
         header = read_header(fh)
+        frame_bytes = header.n_subcarriers * _ENTRY_BYTES
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        whole, rest = divmod(payload, frame_bytes)
+        if whole < header.n_frames:
+            raise CaptureFormatError(
+                f"truncated at frame {whole}: expected {frame_bytes} bytes, "
+                f"got {rest}")
+        if payload > header.n_frames * frame_bytes:
+            raise CaptureFormatError(
+                f"payload continues past the {header.n_frames} frames the "
+                f"header declares")
         stop = header.n_frames if stop is None else stop
         if not 0 <= start <= stop <= header.n_frames:
             raise ValueError(f"frames [{start}, {stop}) are not within the "
                              f"capture's {header.n_frames}")
-        frame_bytes = header.n_subcarriers * _ENTRY_BYTES
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        end = min(stop, payload // frame_bytes)  # the file may end first
-        frames = np.empty((max(0, end - start), header.n_subcarriers),
-                          dtype="<c8")
+        frames = np.empty((stop - start, header.n_subcarriers), dtype="<c8")
         fh.seek(_HEADER.size + start * frame_bytes)
         if fh.readinto(frames) != frames.nbytes:
             raise CaptureFormatError("capture shrank while it was read")
     _check_finite(frames, first=start)
-    _check_length(header, payload, stop)
     return header, frames
-
-
-def _check_length(header: CaptureHeader, payload: int, stop: int) -> None:
-    """Raise if a payload of ``payload`` bytes ends before frame ``stop``,
-    or, when ``stop`` is the header's frame count, continues past it."""
-    frame_bytes = header.n_subcarriers * _ENTRY_BYTES
-    whole = min(header.n_frames, payload // frame_bytes)
-    if whole < stop:
-        raise CaptureFormatError(
-            f"truncated at frame {whole}: expected {frame_bytes} bytes, "
-            f"got {payload - whole * frame_bytes}")
-    if stop == header.n_frames and payload > whole * frame_bytes:
-        raise CaptureFormatError(
-            f"payload continues past the {header.n_frames} frames the "
-            f"header declares")
 
 
 class CaptureFile:
     """A capture as a source of frames read from disk on demand:
     ``cap[lo:hi]`` is ``read_capture_array(path, lo, hi)``'s array.
 
-    Opening checks the header, and the file's length against it, so a
-    truncated or padded file is refused before any payload is read; a
-    non-finite sample is refused by the read of the frames that hold it.
-    No file stays open between reads."""
+    Opening is a read of no frames, so it checks the header and then the
+    file's length against it, and a truncated or padded file is refused
+    before any sample is read; a non-finite sample is refused by the read
+    of the frames that hold it. No file stays open between reads."""
 
     ndim = 2
 
     def __init__(self, path):
         self.path = path
-        with open(path, "rb") as fh:
-            self.header = read_header(fh)
-            payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        _check_length(self.header, payload, self.header.n_frames)
+        self.header = read_capture_array(path, 0, 0)[0]
         self.shape = (self.header.n_frames, self.header.n_subcarriers)
 
     def __getitem__(self, frames: slice) -> np.ndarray:
+        if not isinstance(frames, slice):
+            raise TypeError(f"frames are read as a slice, cap[lo:hi], "
+                            f"not {frames!r}")
         start, stop, step = frames.indices(self.shape[0])
         if step != 1:
             raise ValueError("frames are read as a contiguous range")

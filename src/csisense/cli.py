@@ -112,6 +112,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(files, folder=None) -> None:
+    """Refuse, before any input is read or simulated, an output that could
+    not be written, so a refused command leaves no file behind: each file's
+    directory must exist and the file must not be a directory, and the
+    nearest existing path of the ``folder`` to make must be a directory."""
+    for path in filter(None, files):
+        where = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(where):
+            raise FileNotFoundError(
+                f"cannot write {path}: no directory {where}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    existing = folder
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise NotADirectoryError(
+            f"cannot write maps to {folder}: {existing} is not a directory")
+
+
 def cmd_calc(args) -> int:
     params = dict(PRESET_CONFIGS[args.preset or "wifi-ax211"])
     if args.bandwidth_hz is not None and args.subcarrier_spacing_hz is None:
@@ -139,13 +159,14 @@ def cmd_calc(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    truth_path = args.truth_out or f"{os.path.splitext(args.out)[0]}.truth.csv"
+    _check_outputs([args.out, truth_path])
     try:
         cfg, capture, truth = simulate_scenario(load_scenario(args.scenario),
                                                 args.seed)
         frames = capture_io.write_capture(args.out, cfg, capture)
     except (ScenarioError, CaptureFormatError) as exc:
         raise ScenarioError(f"scenario {args.scenario}: {exc}") from None
-    truth_path = args.truth_out or f"{os.path.splitext(args.out)[0]}.truth.csv"
     capture_io.write_ground_truth(truth_path, truth)
     print(f"wrote {frames} frames to {args.out}; truth to {truth_path}")
     return EXIT_OK
@@ -162,6 +183,8 @@ def cmd_process(args) -> int:
         history_len=args.history, max_lag=args.max_lag)
     # Window and stride alone, before the read; the capture length after.
     rdmap.window_starts(args.window, args.window, args.stride)
+    _check_outputs([args.out, args.emit_spectrogram, args.emit_sync_report],
+                   args.emit_maps)
     # The header and the file's length are checked here; each sample when
     # the pass over the windows reads its block, before anything is written.
     capture = capture_io.CaptureFile(args.capture)

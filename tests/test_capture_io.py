@@ -1,8 +1,9 @@
 import csv
-import itertools
+import io
 import json
 import struct
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from csisense.capture_io import (_ENTRY_BYTES, _FINITE_BLOCK_SAMPLES,
                                  write_map_pgm, write_profile_csv,
                                  write_sync_report_json)
 from csisense.channel import Scene, Target, simulate_capture
+from csisense.cli import main
 from csisense.rdmap import (Detection, DopplerTimeProfile, RangeDopplerMap,
                             range_doppler, range_profiles)
 from csisense.scenarios import load_scenario, simulate_scenario
@@ -185,8 +187,17 @@ def reference_read_capture(path) -> Tuple[CaptureHeader, Iterator[np.ndarray]]:
 
 
 def reference_read_capture_array(path):
-    header, frames = reference_read_capture(path)
-    rows = list(frames)
+    """The streaming reference under the rule that a file's length is
+    checked before any sample: it streams a copy of the file whose payload
+    is zeroed, where only a header or length fault can fire, and then the
+    file itself."""
+    raw = path.read_bytes()
+    zeroed = path.with_name(path.name + ".zeroed")
+    zeroed.write_bytes(raw[:_HEADER.size]
+                       + bytes(max(0, len(raw) - _HEADER.size)))
+    for source in (zeroed, path):
+        header, frames = reference_read_capture(source)
+        rows = list(frames)
     if rows:
         return header, np.vstack(rows)
     return header, np.zeros((0, header.n_subcarriers), dtype=np.complex64)
@@ -262,6 +273,39 @@ def test_malformed_capture_matches_streaming_reference(tmp_path_factory,
         == read_outcome(reference_read_capture_array, path)
 
 
+@settings(max_examples=100, deadline=None)
+@given(grid=small_grids, data=st.data())
+def test_process_refuses_what_the_reader_refuses(tmp_path_factory, grid,
+                                                 data):
+    # process reads by the same rule, a block of frames at a time: a file the
+    # whole read refuses exits 2 with the same message and no output. Only
+    # a window longer than the capture, found after the length and before
+    # the samples, is refused first (exit 3).
+    folder = tmp_path_factory.mktemp("process")
+    path, out = folder / "cap.bin", folder / "d.jsonl"
+    write_capture(path, small_cfg(grid.shape[1]), grid)
+    malform(path, grid, data)
+    try:
+        read_capture_array(path)
+        expected = (0, "")
+    except CaptureFormatError as exc:
+        expected = (2, f"csisense: {exc}\n")
+    try:
+        n_frames = read_capture_array(path, 0, 0)[0].n_frames
+    except CaptureFormatError:
+        n_frames = None  # a header or length fault comes first
+    if n_frames is not None and n_frames < 2:
+        expected = (3, f"csisense: capture of {n_frames} frames is shorter "
+                       f"than window 2\n")
+    err, printed = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(printed):
+        code = main(["process", str(path), "--no-sync", "--window", "2",
+                     "--out", str(out)])
+    assert (code, err.getvalue()) == expected
+    assert printed.getvalue() == ""
+    assert out.exists() == (code == 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid=small_grids, data=st.data())
 def test_positional_read_is_a_slice_of_the_whole(tmp_path_factory, grid,
@@ -281,19 +325,6 @@ def test_positional_read_is_a_slice_of_the_whole(tmp_path_factory, grid,
     assert cap[start:stop].tobytes() == frames.tobytes()
 
 
-def reference_read_until(path, stop):
-    """The streaming reference consumed for its first ``stop`` frames; to
-    its end, and so through its trailing-bytes check, at the header's
-    frame count."""
-    header, frames = reference_read_capture(path)
-    if stop < header.n_frames:
-        frames = itertools.islice(frames, stop)
-    rows = list(frames)
-    if rows:
-        return header, np.vstack(rows)
-    return header, np.zeros((0, header.n_subcarriers), dtype=np.complex64)
-
-
 @settings(max_examples=300, deadline=None)
 @given(grid=small_grids, data=st.data())
 def test_malformed_positional_read_matches_streaming_reference(
@@ -303,12 +334,32 @@ def test_malformed_positional_read_matches_streaming_reference(
     malform(path, grid, data)
     try:
         with open(path, "rb") as fh:
-            n_frames = read_header(fh).n_frames
+            header = read_header(fh)
     except CaptureFormatError:
-        n_frames = 0  # both readers refuse the header first
-    stop = data.draw(st.integers(0, n_frames), label="stop")
-    assert read_outcome(lambda p: read_capture_array(p, 0, stop), path) \
-        == read_outcome(lambda p: reference_read_until(p, stop), path)
+        header = None  # both readers refuse the header first
+    stop = data.draw(st.integers(0, header.n_frames if header else 0),
+                     label="stop")
+    start = data.draw(st.integers(0, stop), label="start")
+    # The expected outcome: the whole read's header or length refusal, else
+    # the first non-finite sample inside [start, stop), else that slice of
+    # the whole. It is the whole streaming reference's over a copy of the
+    # file whose payload is zeroed outside the range, sliced to the range.
+    raw = bytearray(path.read_bytes())
+    if header is not None:
+        frame_bytes = header.n_subcarriers * _ENTRY_BYTES
+        lo = _HEADER.size + start * frame_bytes
+        hi = _HEADER.size + stop * frame_bytes
+        raw[_HEADER.size:lo] = bytes(len(raw[_HEADER.size:lo]))
+        raw[hi:] = bytes(len(raw[hi:]))
+    kept = path.with_name("kept.bin")
+    kept.write_bytes(bytes(raw))
+
+    def reference(p):
+        whole_header, whole = reference_read_capture_array(p)
+        return whole_header, whole[start:stop]
+
+    assert read_outcome(lambda p: read_capture_array(p, start, stop), path) \
+        == read_outcome(reference, kept)
 
 
 def test_positional_read_outside_the_capture_is_refused(tmp_path):
@@ -329,20 +380,27 @@ def test_positional_read_outside_the_capture_is_refused(tmp_path):
 ], ids=["truncated", "padded"])
 def test_capture_file_checks_the_length_before_the_samples(tmp_path, cut,
                                                            message):
-    # A NaN in frame 0 is what the whole read names first; opening the
-    # capture as a frame source names the length fault, from the file's
-    # size alone.
+    # Every reader checks the file's length, from its size alone, before
+    # any sample, so the NaN in frame 0 is never named.
     path = tmp_path / "cap.bin"
     grid = np.ones((3, 4), dtype=np.complex64)
     write_capture(path, small_cfg(4), grid)
     raw = bytearray(path.read_bytes())
     raw[_HEADER.size:_HEADER.size + 4] = struct.pack("<f", np.nan)
     path.write_bytes(bytes(raw[:cut] if cut < 0 else raw + bytes(cut)))
-    with pytest.raises(CaptureFormatError,
-                       match="^non-finite sample at frame 0, subcarrier 0$"):
-        read_capture_array(path)
-    with pytest.raises(CaptureFormatError, match=f"^{message}$"):
-        CaptureFile(path)
+    for read in (read_capture_array, lambda p: read_capture_array(p, 0, 1),
+                 CaptureFile):
+        with pytest.raises(CaptureFormatError, match=f"^{message}$"):
+            read(path)
+
+
+def test_capture_file_refuses_a_key_that_is_not_a_slice(tmp_path):
+    path = tmp_path / "cap.bin"
+    write_capture(path, small_cfg(4), np.ones((3, 4), dtype=np.complex64))
+    cap = CaptureFile(path)
+    for key in (3, np.int64(1), (slice(0, 2), 1), Ellipsis):
+        with pytest.raises(TypeError, match=r"read as a slice, cap\[lo:hi\]"):
+            cap[key]
 
 
 @pytest.mark.parametrize("offset, message", [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import csisense
+from csisense import cli
 from csisense.capture_io import (CaptureFormatError, read_capture_array,
                                  write_capture, write_sync_report_json)
 from csisense.cli import main
@@ -252,6 +253,32 @@ def test_simulate_unknown_scenario_exits_2(tmp_path):
                  "--out", str(tmp_path / "x.bin")]) == 2
 
 
+def test_simulate_unwritable_output_exits_2_before_simulating(
+        workdir, tmp_path, capsys, monkeypatch):
+    # Every destination is checked before the scene is simulated, so a
+    # refused command leaves neither file.
+    monkeypatch.setattr(
+        cli, "simulate_scenario",
+        lambda *a: pytest.fail("simulated before the outputs were checked"))
+    out, folder = tmp_path / "x.bin", tmp_path / "folder"
+    folder.mkdir()
+    missing = tmp_path / "nodir" / "t.csv"
+    for extra, message in [
+            (["--out", str(out), "--truth-out", str(missing)],
+             f"cannot write {missing}: no directory {missing.parent}"),
+            (["--out", str(missing)],
+             f"cannot write {missing}: no directory {missing.parent}"),
+            (["--out", str(out), "--truth-out", str(folder)],
+             f"cannot write {folder}: it is a directory")]:
+        assert main(["simulate", "--scenario",
+                     str(workdir / "small.scenario"), *extra]) == 2
+        assert capsys.readouterr().err == f"csisense: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [folder]
+    # A bad seed is an invalid argument, refused before the outputs.
+    assert main(["simulate", "--scenario", "test1", "--seed", "-1",
+                 "--out", str(missing)]) == 3
+
+
 def test_process_detections(workdir):
     rows = [json.loads(line)
             for line in (workdir / "det.jsonl").read_text().splitlines()]
@@ -473,6 +500,44 @@ def test_process_max_lag_beyond_capture_exits_3(workdir, tmp_path, capsys):
     assert not out.exists() and not report.exists()
 
 
+def test_process_unwritable_output_exits_2_before_the_read(workdir, tmp_path,
+                                                          capsys):
+    # Every destination is checked after the arguments and before the
+    # capture is opened, so a refused command leaves no file behind.
+    cap = str(workdir / "cap.bin")
+    out, report = tmp_path / "d.jsonl", tmp_path / "sync.json"
+    taken, folder = tmp_path / "taken", tmp_path / "folder"
+    taken.write_text("")
+    folder.mkdir()
+    profile = tmp_path / "nodir" / "p.csv"
+    for extra, message in [
+            (["--emit-spectrogram", str(profile)],
+             f"cannot write {profile}: no directory {profile.parent}"),
+            (["--emit-maps", str(taken), "--emit-sync-report", str(report)],
+             f"cannot write maps to {taken}: {taken} is not a directory"),
+            (["--emit-maps", str(taken / "maps")],
+             f"cannot write maps to {taken / 'maps'}: {taken} is not a "
+             "directory"),
+            (["--emit-sync-report", str(folder)],
+             f"cannot write {folder}: it is a directory")]:
+        assert main(["process", cap, "--window", "16", "--out", str(out),
+                     *extra]) == 2
+        assert capsys.readouterr().err == f"csisense: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [folder, taken]
+        assert taken.read_text() == ""
+    assert main(["process", cap, "--out", str(folder)]) == 2
+    assert capsys.readouterr().err == (f"csisense: cannot write {folder}: "
+                                       "it is a directory\n")
+    # Before the capture is opened: a missing capture is not named.
+    assert main(["process", str(tmp_path / "missing.bin"),
+                 "--emit-spectrogram", str(profile)]) == 2
+    assert str(profile) in capsys.readouterr().err
+    # An invalid argument is still refused first (exit 3).
+    assert main(["process", cap, "--stride", "0",
+                 "--emit-spectrogram", str(profile)]) == 3
+    assert sorted(tmp_path.iterdir()) == [folder, taken]
+
+
 def coupling_capture(path, frames, n_sub=256):
     """A capture whose every frame is a zero-delay coupling plus noise."""
     cfg = make_config(n_subcarriers=n_sub, n_frames=32,
@@ -616,21 +681,20 @@ def test_process_late_non_finite_sample_exits_2(tmp_path, capsys):
 
 def test_process_names_truncation_before_an_earlier_bad_sample(
         workdir, tmp_path, capsys):
-    # The whole read names faults in file order; process checks the file's
-    # length when it opens the capture, before it reads any sample.
+    # Every reader checks the file's length before it reads any sample: the
+    # whole read and process alike name the truncation, not the NaN.
     raw = bytearray((workdir / "cap.bin").read_bytes())
     offset = 38 + (5 * 64 + 9) * 8
     raw[offset:offset + 4] = struct.pack("<f", float("nan"))
     cut = tmp_path / "cut.bin"
     cut.write_bytes(bytes(raw[:38 + 20 * 64 * 8 + 17]))
-    with pytest.raises(CaptureFormatError,
-                       match="^non-finite sample at frame 5, subcarrier 9$"):
+    message = "truncated at frame 20: expected 512 bytes, got 17"
+    with pytest.raises(CaptureFormatError, match=f"^{message}$"):
         read_capture_array(cut)
     out = tmp_path / "d.jsonl"
     assert main(["process", str(cut), "--window", "16",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("csisense: truncated at frame 20: "
-                                       "expected 512 bytes, got 17\n")
+    assert capsys.readouterr().err == f"csisense: {message}\n"
     assert not out.exists()
 
 

@@ -607,7 +607,7 @@ def test_window_maps_stream_is_block_size_free(run, block, history_len,
 
 
 def test_window_maps_memory_stays_flat():
-    # Range profiles are taken per chunk of windows, never for the whole
+    # Range profiles are taken per block of frames, never for the whole
     # capture at once.
     cfg = cfg_of(n=64, m=16)
     rng = np.random.default_rng(8)
