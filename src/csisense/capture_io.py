@@ -204,7 +204,7 @@ def read_ground_truth(path) -> Trajectory:
     if not rows:
         raise CaptureFormatError("truth file has no data rows")
     times = np.array([r[0] for r in rows])
-    if np.any(np.diff(times) <= 0):
+    if np.any(times[1:] <= times[:-1]):  # np.diff can overflow
         raise CaptureFormatError("truth timestamps must be strictly increasing")
     return Trajectory(times_s=times,
                       ranges_m=np.array([r[1] for r in rows]),
@@ -286,7 +286,7 @@ def read_detections_jsonl(path) -> List[dict]:
                 continue
             try:
                 out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # or an int past the digit limit
                 raise CaptureFormatError(f"line {lineno}: {exc}") from exc
     return out
 

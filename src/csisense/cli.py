@@ -17,8 +17,8 @@ import numpy as np
 
 from . import capture_io, rdmap
 from .capture_io import CaptureFormatError
-from .scenarios import (PRESET_CONFIGS, ScenarioError, finite_float,
-                        load_scenario, simulate_scenario)
+from .scenarios import (PRESET_CONFIGS, PRESET_SCENARIOS, ScenarioError,
+                        finite_float, load_scenario, simulate_scenario)
 from .sync import MAX_UPSAMPLE_FACTOR, SyncError, SyncParams, SyncReport
 from .waveform import (db_to_linear, doppler_resolution, make_config,
                        range_accuracy, range_resolution, unambiguous_limits)
@@ -112,12 +112,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_outputs(files, folder=None) -> None:
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: the same resolved path,
+    or, when both exist, the same file under two names (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
+def _check_outputs(files, folder=None, inputs=()) -> None:
     """Refuse, before any input is read or simulated, an output that could
     not be written, so a refused command leaves no file behind: each file's
     directory must exist and the file must not be a directory, and the
-    nearest existing path of the ``folder`` to make must be a directory."""
-    for path in filter(None, files):
+    nearest existing path of the ``folder`` to make must be a directory.
+    No output may name the same file as an input or as another output."""
+    files = [path for path in files if path]
+    for path in files:
         where = os.path.dirname(path) or os.curdir
         if not os.path.isdir(where):
             raise FileNotFoundError(
@@ -130,6 +143,13 @@ def _check_outputs(files, folder=None) -> None:
     if existing and not os.path.isdir(existing):
         raise NotADirectoryError(
             f"cannot write maps to {folder}: {existing} is not a directory")
+    outputs = files + ([folder] if folder else [])
+    for index, path in enumerate(outputs):
+        for other, role in ([(p, "input") for p in inputs]
+                            + [(p, "output") for p in outputs[:index]]):
+            if _same_file(path, other):
+                raise FileExistsError(f"cannot write {path}: it is the same "
+                                      f"file as the {role} {other}")
 
 
 def cmd_calc(args) -> int:
@@ -160,7 +180,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     truth_path = args.truth_out or f"{os.path.splitext(args.out)[0]}.truth.csv"
-    _check_outputs([args.out, truth_path])
+    scenario_file = [] if args.scenario in PRESET_SCENARIOS else [args.scenario]
+    _check_outputs([args.out, truth_path], inputs=scenario_file)
     try:
         cfg, capture, truth = simulate_scenario(load_scenario(args.scenario),
                                                 args.seed)
@@ -184,7 +205,7 @@ def cmd_process(args) -> int:
     # Window and stride alone, before the read; the capture length after.
     rdmap.window_starts(args.window, args.window, args.stride)
     _check_outputs([args.out, args.emit_spectrogram, args.emit_sync_report],
-                   args.emit_maps)
+                   args.emit_maps, inputs=[args.capture])
     # The header and the file's length are checked here; each sample when
     # the pass over the windows reads its block, before anything is written.
     capture = capture_io.CaptureFile(args.capture)
@@ -251,7 +272,7 @@ def cmd_eval(args) -> int:
             t = float(det["t"])
             range_m = float(det["range_m"])
             velocity = float(det["velocity_mps"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CaptureFormatError(
                 f"detection {index} lacks a numeric t/range_m/velocity_mps: "
                 f"{exc}") from exc
@@ -263,24 +284,38 @@ def cmd_eval(args) -> int:
             raise CaptureFormatError(
                 f"detection {index} at t = {t} s lies outside the truth's "
                 f"span [{truth.times_s[0]}, {truth.times_s[-1]}] s")
-        if abs(float(truth.velocity_at(t))) < args.min_true_velocity:
+        true_velocity = float(truth.velocity_at(t))
+        if abs(true_velocity) < args.min_true_velocity:
             continue
         range_errors.append(abs(range_m - float(truth.range_at(t))))
-        velocity_errors.append(abs(velocity - float(truth.velocity_at(t))))
+        velocity_errors.append(abs(velocity - true_velocity))
+        # A truth too steep or too large for floats interpolates to inf or
+        # NaN, and so does a detection's distance from a huge truth value.
+        if not (math.isfinite(range_errors[-1])
+                and math.isfinite(velocity_errors[-1])):
+            raise CaptureFormatError(
+                f"detection {index} at t = {t} s has no finite error "
+                f"against the truth")
     if not range_errors:
-        print("nothing to evaluate: no detections pass the filters",
+        print("csisense: nothing to evaluate: no detections pass the filters",
               file=sys.stderr)
         return EXIT_EVAL_FAILED
 
-    r = np.array(range_errors)
-    v = np.array(velocity_errors)
-    print(f"detections_evaluated = {len(r)}")
-    print(f"range_error_m: median={np.median(r):.6f} mean={np.mean(r):.6f} "
-          f"p90={np.percentile(r, 90):.6f}")
-    print(f"velocity_error_mps: median={np.median(v):.6f} "
-          f"mean={np.mean(v):.6f} p90={np.percentile(v, 90):.6f}")
-    ok = (np.median(r) <= args.max_range_err
-          and np.median(v) <= args.max_vel_err)
+    # Finite errors can still sum past the float range: refused, not inf.
+    stats = {}
+    with np.errstate(over="ignore"):
+        for label, errors in (("range_error_m", range_errors),
+                              ("velocity_error_mps", velocity_errors)):
+            stats[label] = (np.median(errors), np.mean(errors),
+                            np.percentile(errors, 90))
+    if not np.isfinite(list(stats.values())).all():
+        raise CaptureFormatError(
+            "the detections' errors are too large to average as floats")
+    print(f"detections_evaluated = {len(range_errors)}")
+    for label, (median, mean, p90) in stats.items():
+        print(f"{label}: median={median:.6f} mean={mean:.6f} p90={p90:.6f}")
+    ok = (stats["range_error_m"][0] <= args.max_range_err
+          and stats["velocity_error_mps"][0] <= args.max_vel_err)
     print(f"result = {'pass' if ok else 'fail'} "
           f"(limits: range {args.max_range_err} m, "
           f"velocity {args.max_vel_err} m/s)")

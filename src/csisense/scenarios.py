@@ -23,38 +23,33 @@ PRESET_CONFIGS = {
                        carrier_freq_hz=6.3e9),
 }
 
-SCENARIO_TEST1 = """\
-# Metal plate on a rail: 0.6 m -> 0.3 m over 3.9 s.
-subcarriers = 512
-spacing_hz = 312.5e3
-frame_interval_s = 0.025
-carrier_freq_hz = 6.3e9
-frame_count = 156
+# The scene both scenario presets share: the AX211 numerology (each float
+# written as its repr, so it parses back to the same bits) and impairments.
+_AX211 = PRESET_CONFIGS["wifi-ax211"]
+_PRESET_SCENE = f"""\
+subcarriers = {_AX211['n_subcarriers']}
+spacing_hz = {_AX211['subcarrier_spacing_hz']!r}
+frame_interval_s = {_AX211['frame_interval_s']!r}
+carrier_freq_hz = {_AX211['carrier_freq_hz']!r}
 snr_db = 20
 target_gain = 1.0
 coupling_gain_db = 30
-path = 0, 0.6; 3.9, 0.3
 delay_offset_samples = 2.25
 phase_jump_step_rad = 1.5707963267948966
 phase_jump_prob = 0.08
 phase_drift_std_rad = 0.005
 """
 
-SCENARIO_GESTURE = """\
+SCENARIO_TEST1 = f"""\
+# Metal plate on a rail: 0.6 m -> 0.3 m over 3.9 s.
+{_PRESET_SCENE}frame_count = 156
+path = 0, 0.6; 3.9, 0.3
+"""
+
+SCENARIO_GESTURE = f"""\
 # Hand waved toward/away from the antennas: 0 -> 0.4 m triangle, 2 s period.
-subcarriers = 512
-spacing_hz = 312.5e3
-frame_interval_s = 0.025
-carrier_freq_hz = 6.3e9
-frame_count = 320
-snr_db = 20
-target_gain = 1.0
-coupling_gain_db = 30
+{_PRESET_SCENE}frame_count = 320
 path = 0, 0; 1, 0.4; 2, 0; 3, 0.4; 4, 0; 5, 0.4; 6, 0; 7, 0.4; 8, 0
-delay_offset_samples = 2.25
-phase_jump_step_rad = 1.5707963267948966
-phase_jump_prob = 0.08
-phase_drift_std_rad = 0.005
 """
 
 PRESET_SCENARIOS = {"test1": SCENARIO_TEST1, "gesture": SCENARIO_GESTURE}

@@ -1,14 +1,20 @@
+import io
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csisense
 from csisense import cli
@@ -279,6 +285,35 @@ def test_simulate_unwritable_output_exits_2_before_simulating(
                  "--out", str(missing)]) == 3
 
 
+@pytest.mark.parametrize("case", ["truth-out-is-out", "out-is-scenario",
+                                  "truth-is-scenario"])
+def test_simulate_same_file_twice_exits_2_before_simulating(
+        tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(
+        cli, "simulate_scenario",
+        lambda *a: pytest.fail("simulated before the outputs were checked"))
+    # The default truth path, <out>.truth.csv, is the scenario file in the
+    # last case.
+    scenario = tmp_path / ("s.truth.csv" if case == "truth-is-scenario"
+                           else "s.scenario")
+    scenario.write_text(SMALL_SCENARIO)
+    out = tmp_path / "x.bin"
+    argv, path, role = {
+        "truth-out-is-out": (["--scenario", "test1", "--out", str(out),
+                              "--truth-out", str(out)], out, "output"),
+        "out-is-scenario": (["--scenario", str(scenario),
+                             "--out", str(scenario)], scenario, "input"),
+        "truth-is-scenario": (["--scenario", str(scenario),
+                               "--out", str(tmp_path / "s.bin")],
+                              scenario, "input"),
+    }[case]
+    assert main(["simulate", *argv]) == 2
+    assert capsys.readouterr().err == (f"csisense: cannot write {path}: it is "
+                                       f"the same file as the {role} {path}\n")
+    assert sorted(tmp_path.iterdir()) == [scenario]
+    assert scenario.read_text() == SMALL_SCENARIO
+
+
 def test_process_detections(workdir):
     rows = [json.loads(line)
             for line in (workdir / "det.jsonl").read_text().splitlines()]
@@ -536,6 +571,50 @@ def test_process_unwritable_output_exits_2_before_the_read(workdir, tmp_path,
     assert main(["process", cap, "--stride", "0",
                  "--emit-spectrogram", str(profile)]) == 3
     assert sorted(tmp_path.iterdir()) == [folder, taken]
+
+
+@pytest.mark.parametrize("case", [
+    "out-is-capture", "out-is-capture-with-maps", "spectrogram-is-out",
+    "report-is-spectrogram", "maps-folder-is-out", "out-is-hard-link",
+    "capture-is-symlink"])
+def test_process_same_file_twice_exits_2_before_the_read(workdir, tmp_path,
+                                                         capsys, case):
+    # Two outputs, or an output and the capture, that name one file would
+    # overwrite each other; the command is refused before the read, and the
+    # capture and folder are left as they were.
+    cap, out = tmp_path / "cap.bin", tmp_path / "d.json"
+    cap.write_bytes((workdir / "cap.bin").read_bytes())
+    maps, link = tmp_path / "m", tmp_path / "link.bin"
+    if case == "out-is-hard-link":
+        os.link(cap, link)
+    if case == "capture-is-symlink":
+        link.symlink_to(cap)
+    argv, path, role, other = {
+        "out-is-capture": ([str(cap), "--out", str(cap)],
+                           cap, "input", cap),
+        "out-is-capture-with-maps": (
+            [str(cap), "--out", str(cap), "--emit-maps", str(maps)],
+            cap, "input", cap),
+        "spectrogram-is-out": (
+            [str(cap), "--out", str(out), "--emit-spectrogram", str(out)],
+            out, "output", out),
+        "report-is-spectrogram": (
+            [str(cap), "--emit-spectrogram", str(out),
+             "--emit-sync-report", str(out)], out, "output", out),
+        "maps-folder-is-out": (
+            [str(cap), "--out", str(out), "--emit-maps", str(out)],
+            out, "output", out),
+        "out-is-hard-link": ([str(cap), "--out", str(link)],
+                             link, "input", cap),
+        "capture-is-symlink": ([str(link), "--out", str(cap)],
+                               cap, "input", link),
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    assert main(["process", *argv, "--window", "16"]) == 2
+    assert capsys.readouterr().err == (f"csisense: cannot write {path}: it is "
+                                       f"the same file as the {role} {other}\n")
+    assert sorted(tmp_path.iterdir()) == before
+    assert cap.read_bytes() == (workdir / "cap.bin").read_bytes()
 
 
 def coupling_capture(path, frames, n_sub=256):
@@ -818,6 +897,122 @@ def test_eval_detection_outside_truth_span_exits_2(workdir, tmp_path, capsys,
     assert main(["eval", str(bad), str(workdir / "cap.truth.csv")]) == 2
     assert (f"detection 2 at t = {t} s lies outside the truth's span "
             "[0.0, 1.175] s") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, t", [
+    # The interpolated truth overflows to inf or NaN.
+    ("0,1e308,1e308\n10,-1e308,-1e308\n", 5.0),
+    ("0,0,0\n1e-16,1e308,0\n", 5e-17),
+    # The truth is finite, the detection's distance from it is not.
+    ("0,-1e308,0\n10,-1e308,0\n", 5.0),
+])
+def test_eval_detection_without_finite_error_exits_2(tmp_path, capsys, rows,
+                                                     t):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,range_m,velocity_mps\n" + rows)
+    det = tmp_path / "det.jsonl"
+    det.write_text(json.dumps({"t": 0.0, "range_m": 1.0, "velocity_mps": 0})
+                   + "\n" + json.dumps({"t": t, "range_m": 1e308,
+                                         "velocity_mps": 0}) + "\n")
+    assert main(["eval", str(det), str(truth)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"csisense: detection [01] at t = \S+ s has no "
+                        r"finite error against the truth\n", err), err
+
+
+def test_eval_errors_too_large_to_average_exits_2(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,range_m,velocity_mps\n0,0,0\n1,0,0\n")
+    det = tmp_path / "det.jsonl"
+    det.write_text("".join(
+        json.dumps({"t": t, "range_m": 1e308, "velocity_mps": 0}) + "\n"
+        for t in (0.25, 0.75)))
+    assert main(["eval", str(det), str(truth)]) == 2
+    assert capsys.readouterr() == (
+        "", "csisense: the detections' errors are too large to average as "
+            "floats\n")
+
+
+def test_eval_truth_times_far_apart_are_increasing(tmp_path, capsys):
+    # Their difference overflows a float; the order is still checked.
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,range_m,velocity_mps\n-1e308,1,0\n1e308,1,0\n")
+    det = tmp_path / "det.jsonl"
+    det.write_text(json.dumps({"t": 0, "range_m": 1.0, "velocity_mps": 0})
+                   + "\n")
+    assert main(["eval", str(det), str(truth)]) == 0
+    assert "range_error_m: median=0.000000" in capsys.readouterr().out
+
+
+# The eval property's edge values: JSON tokens for a detection field, and
+# text for a truth CSV cell.
+_EDGE_NUMBERS = ["0", "5e-324", "-5e-324", "1e308", "-1e308", "-0.0", "0.5",
+                 "2.75", "1" + "0" * 400, "1" + "0" * 5000]
+_JSON_EDGES = _EDGE_NUMBERS + ["NaN", "Infinity", "-Infinity", '"nan"',
+                               '"inf"', '""', "null"]
+_CSV_EDGES = _EDGE_NUMBERS + ["nan", "inf", "-inf", ""]
+_EVAL_TRUTH = [["0", "1.0", "0.5"], ["1", "1.5", "0.5"], ["2", "2.0", "0.5"]]
+_EVAL_DETECTIONS = [{"t": "0.5", "range_m": "1.2", "velocity_mps": "0.5"},
+                    {"t": "1.0", "range_m": "1.5", "velocity_mps": "0.45"},
+                    {"t": "1.5", "range_m": "1.8", "velocity_mps": "0.5"}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_exits_cleanly_on_mutated_inputs(tmp_path_factory, data):
+    # Mutate a valid detections file and truth CSV with edge values: eval
+    # exits 0, 1 or 2, with at most one csisense: line on stderr, and what
+    # it prints on exit 0 or 1 is finite.
+    truth = [list(row) for row in _EVAL_TRUTH]
+    dets = [dict(det) for det in _EVAL_DETECTIONS]
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        if data.draw(st.booleans(), label="in truth"):
+            row = data.draw(st.sampled_from(truth), label="row")
+            row[data.draw(st.integers(0, 2), label="column")] = data.draw(
+                st.sampled_from(_CSV_EDGES), label="cell")
+        else:
+            det = data.draw(st.sampled_from(dets), label="detection")
+            key = data.draw(st.sampled_from(sorted(_EVAL_DETECTIONS[0])),
+                            label="key")
+            value = data.draw(st.sampled_from(_JSON_EDGES + [None]),
+                              label="value")
+            if value is None:
+                det.pop(key, None)
+            else:
+                det[key] = value
+    folder = tmp_path_factory.mktemp("eval")
+    (folder / "truth.csv").write_text(
+        "t,range_m,velocity_mps\n" + "".join(",".join(r) + "\n"
+                                             for r in truth))
+    (folder / "det.jsonl").write_text("".join(
+        "{" + ", ".join(f'"{k}": {v}' for k, v in det.items()) + "}\n"
+        for det in dets))
+    err, printed = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stderr(err), redirect_stdout(printed):
+        warnings.simplefilter("always")
+        code = main(["eval", str(folder / "det.jsonl"),
+                     str(folder / "truth.csv")])
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"(csisense: [^\n]*\n)?", err.getvalue())
+    medians = re.findall(r"median=(\S+)", printed.getvalue())
+    assert len(medians) == (0 if err.getvalue() else 2)
+    assert all(math.isfinite(float(m)) for m in medians)
+
+
+def test_gesture_preset_passes_eval_end_to_end(tmp_path, capsys):
+    # The README quick start, on the hand-gesture preset.
+    capture, truth = tmp_path / "gesture.bin", tmp_path / "gesture.truth.csv"
+    detections = tmp_path / "gesture.jsonl"
+    assert main(["simulate", "--scenario", "gesture", "--seed", "1",
+                 "--out", str(capture)]) == 0
+    assert main(["process", str(capture), "--window", "32", "--stride", "1",
+                 "--out", str(detections)]) == 0
+    assert main(["eval", str(detections), str(truth),
+                 "--max-range-err", "0.10", "--max-vel-err", "0.03",
+                 "--min-true-velocity", "0.0297"]) == 0
+    assert "result = pass" in capsys.readouterr().out
 
 
 def test_process_window_longer_than_capture_exits_3(workdir):

@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,22 +11,50 @@ from csisense.scenarios import (SCENARIO_GESTURE, SCENARIO_TEST1,
                                 ScenarioError, load_scenario, parse_scenario,
                                 simulate_scenario)
 
+# Every field the two presets share: the AX211 numerology and impairments.
+AX211_SCENE = dict(
+    n_subcarriers=512, frame_interval_s=0.025, carrier_freq_hz=6.3e9,
+    subcarrier_spacing_hz=312.5e3, bandwidth_hz=None, snr_db=20.0,
+    target_gain=1.0, coupling_gain_db=30.0, clutter=[],
+    delay_offset_samples=2.25, phase_jump_step_rad=1.5707963267948966,
+    phase_jump_prob=0.08, phase_drift_std_rad=0.005, seed=0)
+
 
 def test_parse_test1_preset():
     sc = parse_scenario(SCENARIO_TEST1)
-    assert sc.n_subcarriers == 512
-    assert sc.frame_count == 156
-    assert sc.snr_db == 20.0
-    assert sc.coupling_gain_db == 30.0
-    assert sc.path == [(0.0, 0.6), (3.9, 0.3)]
+    assert asdict(sc) == dict(AX211_SCENE, frame_count=156,
+                              path=[(0.0, 0.6), (3.9, 0.3)])
     assert sc.config().bandwidth_hz == pytest.approx(160e6)
 
 
 def test_parse_gesture_preset():
     sc = parse_scenario(SCENARIO_GESTURE)
-    assert sc.frame_count == 320
-    assert len(sc.path) == 9
-    assert sc.path[1] == (1.0, 0.4)
+    triangle = [(float(t), 0.4 if t % 2 else 0.0) for t in range(9)]
+    assert asdict(sc) == dict(AX211_SCENE, frame_count=320, path=triangle)
+
+
+def test_benchmark_scene_is_the_test1_preset():
+    # perfbench/workloads.py keeps its own copy of the presets' numerology
+    # and impairments; its test1 scene must parse to the preset but for the
+    # capture length and the seed. Loaded from its file without writing
+    # bytecode next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(workloads)
+        text = workloads.WORKLOADS["export-all"].scenario_text(0)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    bench, preset = asdict(parse_scenario(text)), asdict(
+        parse_scenario(SCENARIO_TEST1))
+    for key in ("frame_count", "seed"):
+        del bench[key], preset[key]
+    assert bench == preset
 
 
 def test_parse_errors():
