@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rdmap import RangeDopplerMap
+from .rdmap import _BLOCK_FRAMES, RangeDopplerMap
 from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
                        unambiguous_limits)
 
@@ -118,17 +118,25 @@ def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
                 f"target velocity {t.velocity_mps} m/s outside +-{v_max / 2.0}")
 
 
-def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target]) -> np.ndarray:
-    """Channel factor sum_k a_k e^{j2pi T fD m} e^{-j2pi n df tau} per frame/bin."""
-    m = np.arange(cfg.n_frames)
+def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target],
+                  lo: int, hi: int, out: Optional[np.ndarray] = None
+                  ) -> np.ndarray:
+    """Channel factor sum_k a_k e^{j2pi T fD m} e^{-j2pi n df tau} for the
+    frames m in [lo, hi) and every subcarrier n, written into ``out`` when
+    given."""
+    m = np.arange(lo, hi)
     n = np.arange(cfg.n_subcarriers)
-    out = np.zeros((cfg.n_frames, cfg.n_subcarriers), dtype=complex)
+    if out is None:
+        out = np.empty((hi - lo, cfg.n_subcarriers), dtype=complex)
+    out.fill(0)
+    term = np.empty_like(out)
     for t in targets:
         tau = 2.0 * t.range_m / SPEED_OF_LIGHT
         f_d = 2.0 * t.velocity_mps * cfg.carrier_freq_hz / SPEED_OF_LIGHT
         doppler = np.exp(2j * np.pi * cfg.frame_interval_s * f_d * m)
         delay = np.exp(-2j * np.pi * n * cfg.subcarrier_spacing_hz * tau)
-        out += t.gain * np.outer(doppler, delay)
+        out += np.multiply(t.gain, np.outer(doppler, delay, out=term),
+                           out=term)
     return out
 
 
@@ -149,34 +157,57 @@ def phase_error_trace(imp: Impairments, n_frames: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(jumps + drift)])
 
 
-def _apply_noise_and_impairments(cfg: WaveformConfig, grid: np.ndarray,
-                                 scene: Scene) -> np.ndarray:
+def _apply_noise_and_impairments(
+        cfg: WaveformConfig, rows: Callable[[int, int, np.ndarray], object],
+        scene: Scene) -> np.ndarray:
+    """The capture, one block of frames at a time into one result array:
+    ``rows(lo, hi, block)`` writes the noiseless rows of frames [lo, hi)
+    into ``block``, then the noise is added and the delay ramp and the
+    phase rotation multiply in."""
     imp = scene.impairments
+    shape = (cfg.n_frames, cfg.n_subcarriers)
     if scene.snr_db is not None:
         sigma2 = scene.noise_reference_power() * db_to_linear(
             "snr_db", scene.snr_db, -10.0)
         rng = np.random.default_rng([int(imp.rng_seed), 2])
-        grid = grid + np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        # All real parts are drawn first, then the imaginary parts block by
+        # block: the same stream as two whole-grid draws.
+        scale = np.sqrt(sigma2 / 2.0)
+        real = rng.standard_normal(shape)
+        imag = np.empty((_BLOCK_FRAMES, cfg.n_subcarriers))
+        noise = np.empty(imag.shape, dtype=complex)
     # A finite but huge impairment overflows its phase to inf or NaN; it is
     # refused by name instead of reaching the capture.
+    ramp = rotation = None
     if imp.delay_offset_samples != 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
             ramp = _delay_ramp(cfg.n_subcarriers, imp.delay_offset_samples)
         if not np.isfinite(ramp).all():
             raise ValueError(f"delay_offset_samples {imp.delay_offset_samples}"
                              " overflows the delay ramp")
-        grid = grid * ramp
     if imp.phase_jump_prob > 0.0 or imp.phase_drift_std_rad > 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
-            rotation = np.exp(1j * phase_error_trace(imp, grid.shape[0]))
+            rotation = np.exp(1j * phase_error_trace(imp, cfg.n_frames))
         if not np.isfinite(rotation).all():
             raise ValueError(
                 f"phase_jump_step_rad {imp.phase_jump_step_rad} with "
                 f"phase_drift_std_rad {imp.phase_drift_std_rad} overflows "
                 "the phase error")
-        grid = grid * rotation[:, None]
-    return grid
+    out = np.empty(shape, dtype=complex)
+    for lo in range(0, cfg.n_frames, _BLOCK_FRAMES):
+        hi = min(lo + _BLOCK_FRAMES, cfg.n_frames)
+        block = out[lo:hi]
+        rows(lo, hi, block)
+        if scene.snr_db is not None:
+            part = noise[:hi - lo]
+            np.multiply(1j, rng.standard_normal(out=imag[:hi - lo]), out=part)
+            np.add(real[lo:hi], part, out=part)
+            block += np.multiply(scale, part, out=part)
+        if ramp is not None:
+            block *= ramp
+        if rotation is not None:
+            block *= rotation[lo:hi, None]
+    return out
 
 
 def simulate_capture(cfg: WaveformConfig, scene: Scene) -> np.ndarray:
@@ -185,11 +216,15 @@ def simulate_capture(cfg: WaveformConfig, scene: Scene) -> np.ndarray:
     Each reflector contributes its gain times a per-frame Doppler phasor and
     a per-subcarrier delay ramp; noise is added before the receiver
     impairments multiply in (they are unit-modulus, so noise statistics are
-    unchanged).
+    unchanged). The grid is built one block of frames at a time: besides
+    the result, a noisy scene holds its real noise draws, and every scene
+    one block.
     """
-    _check_bounds(cfg, scene.reflectors())
-    csi = _channel_rows(cfg, scene.reflectors())
-    return _apply_noise_and_impairments(cfg, csi, scene)
+    reflectors = scene.reflectors()
+    _check_bounds(cfg, reflectors)
+    return _apply_noise_and_impairments(
+        cfg, lambda lo, hi, block: _channel_rows(cfg, reflectors, lo, hi,
+                                                 block), scene)
 
 
 def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:
@@ -207,7 +242,7 @@ def oracle_spectrum(cfg: WaveformConfig, scene: Scene) -> RangeDopplerMap:
         raise ValueError("oracle requires an impairment-free scene")
     _check_bounds(cfg, scene.reflectors())
     m_total, n_total = cfg.n_frames, cfg.n_subcarriers
-    d = _channel_rows(cfg, scene.reflectors())
+    d = _channel_rows(cfg, scene.reflectors(), 0, m_total)
     m = np.arange(m_total)
     n = np.arange(n_total)
     values = np.zeros((m_total, n_total))
@@ -274,7 +309,7 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple], *,
     segments. The mover's per-frame samples, the coupling, the clutter,
     ``snr_db`` and the impairments form one ``Scene``, so they follow its
     rules; static coupling/clutter, noise, and impairments are applied
-    exactly as in ``simulate_capture``.
+    exactly as in ``simulate_capture``, one block of frames at a time.
     """
     _, ranges, velocities = trajectory_samples(
         path, cfg.n_frames, cfg.frame_interval_s)
@@ -284,14 +319,21 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple], *,
     _check_bounds(cfg, scene.reflectors())
     statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
 
-    n = np.arange(cfg.n_subcarriers)
+    spacings = np.arange(cfg.n_subcarriers) * cfg.subcarrier_spacing_hz
     taus = 2.0 * ranges / SPEED_OF_LIGHT
-    delay_ramps = np.exp(-2j * np.pi * np.outer(
-        taus, n * cfg.subcarrier_spacing_hz))
     f_d = 2.0 * velocities * cfg.carrier_freq_hz / SPEED_OF_LIGHT
     steps = 2.0 * np.pi * cfg.frame_interval_s * f_d
     psi = np.concatenate([[0.0], np.cumsum(steps[1:])])
-    grid = gain * np.exp(1j * psi)[:, None] * delay_ramps
-    if statics:
-        grid = grid + _channel_rows(cfg, statics)
-    return _apply_noise_and_impairments(cfg, grid, scene)
+    phasors = np.exp(1j * psi)
+    phase = np.empty((_BLOCK_FRAMES, cfg.n_subcarriers))
+    static_rows = np.empty(phase.shape, dtype=complex) if statics else None
+
+    # gain * phasor * e^{-j2pi n df tau} (+ statics), written in place.
+    def rows(lo, hi, block):
+        np.outer(taus[lo:hi], spacings, out=phase[:hi - lo])
+        np.exp(np.multiply(-2j * np.pi, phase[:hi - lo], out=block), out=block)
+        np.multiply(gain * phasors[lo:hi, None], block, out=block)
+        if statics:
+            block += _channel_rows(cfg, statics, lo, hi, static_rows[:hi - lo])
+
+    return _apply_noise_and_impairments(cfg, rows, scene)

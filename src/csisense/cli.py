@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -27,6 +28,9 @@ EXIT_OK = 0
 EXIT_EVAL_FAILED = 1
 EXIT_IO = 2
 EXIT_USAGE = 3
+
+# The name of each map file that --emit-maps writes into its folder.
+_MAP_FILE = re.compile(r"map_\d{5,}\.(csv|pgm)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +132,9 @@ def _check_outputs(files, folder=None, inputs=()) -> None:
     not be written, so a refused command leaves no file behind: each file's
     directory must exist and the file must not be a directory, and the
     nearest existing path of the ``folder`` to make must be a directory.
-    No output may name the same file as an input or as another output."""
+    No output may name the same file as an input or as another output, and
+    no output or input may be a map file that will be written into the
+    ``folder``."""
     files = [path for path in files if path]
     for path in files:
         where = os.path.dirname(path) or os.curdir
@@ -137,6 +143,11 @@ def _check_outputs(files, folder=None, inputs=()) -> None:
                 f"cannot write {path}: no directory {where}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    for path in [*files, *inputs]:
+        if (folder and _MAP_FILE.fullmatch(os.path.basename(path))
+                and _same_file(os.path.dirname(path) or os.curdir, folder)):
+            raise FileExistsError(f"cannot write {path}: --emit-maps writes "
+                                  f"a map file of that name into {folder}")
     existing = folder
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -69,6 +70,11 @@ def make_config(*, n_subcarriers: int, n_frames: int,
     """
     if subcarrier_spacing_hz is None and bandwidth_hz is None:
         raise ValueError("need subcarrier_spacing_hz or bandwidth_hz")
+    # A count past the float range would overflow every product below.
+    for name, count in (("n_subcarriers", n_subcarriers),
+                        ("n_frames", n_frames)):
+        if not abs(count) <= sys.float_info.max:
+            raise ValueError(f"{name} is too large for a float")
     if subcarrier_spacing_hz is None:
         # A zero count is WaveformConfig's to reject, not a division fault.
         subcarrier_spacing_hz = (bandwidth_hz / n_subcarriers

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csisense.channel import (Impairments, Scene, Target, oracle_spectrum,
-                              phase_error_trace, simulate_capture,
-                              simulate_trajectory, trajectory_samples)
-from csisense.waveform import (SPEED_OF_LIGHT, doppler_resolution,
-                               make_config, range_resolution)
+from csisense.channel import (Impairments, Scene, Target, _check_bounds,
+                              _delay_ramp, oracle_spectrum, phase_error_trace,
+                              simulate_capture, simulate_trajectory,
+                              trajectory_samples)
+from csisense.rdmap import _BLOCK_FRAMES
+from csisense.waveform import (SPEED_OF_LIGHT, db_to_linear,
+                               doppler_resolution, make_config,
+                               range_resolution)
 
 WIFI = dict(subcarrier_spacing_hz=312.5e3, frame_interval_s=0.025,
             carrier_freq_hz=6.3e9)
@@ -313,3 +318,140 @@ def test_trajectory_velocity_chosen_per_segment():
     times, _, velocities = trajectory_samples(path, 80, 0.025)
     assert velocities[0] == 0.1
     assert velocities[np.searchsorted(times, 1.01)] == -0.4
+
+
+# The whole-array simulators the block loop replaced, verbatim but for
+# their names: every step over the whole capture at once.
+def reference_channel_rows(cfg, targets):
+    """Channel factor sum_k a_k e^{j2pi T fD m} e^{-j2pi n df tau} per frame/bin."""
+    m = np.arange(cfg.n_frames)
+    n = np.arange(cfg.n_subcarriers)
+    out = np.zeros((cfg.n_frames, cfg.n_subcarriers), dtype=complex)
+    for t in targets:
+        tau = 2.0 * t.range_m / SPEED_OF_LIGHT
+        f_d = 2.0 * t.velocity_mps * cfg.carrier_freq_hz / SPEED_OF_LIGHT
+        doppler = np.exp(2j * np.pi * cfg.frame_interval_s * f_d * m)
+        delay = np.exp(-2j * np.pi * n * cfg.subcarrier_spacing_hz * tau)
+        out += t.gain * np.outer(doppler, delay)
+    return out
+
+
+def reference_apply_noise_and_impairments(cfg, grid, scene):
+    imp = scene.impairments
+    if scene.snr_db is not None:
+        sigma2 = scene.noise_reference_power() * db_to_linear(
+            "snr_db", scene.snr_db, -10.0)
+        rng = np.random.default_rng([int(imp.rng_seed), 2])
+        grid = grid + np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    # A finite but huge impairment overflows its phase to inf or NaN; it is
+    # refused by name instead of reaching the capture.
+    if imp.delay_offset_samples != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ramp = _delay_ramp(cfg.n_subcarriers, imp.delay_offset_samples)
+        if not np.isfinite(ramp).all():
+            raise ValueError(f"delay_offset_samples {imp.delay_offset_samples}"
+                             " overflows the delay ramp")
+        grid = grid * ramp
+    if imp.phase_jump_prob > 0.0 or imp.phase_drift_std_rad > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rotation = np.exp(1j * phase_error_trace(imp, grid.shape[0]))
+        if not np.isfinite(rotation).all():
+            raise ValueError(
+                f"phase_jump_step_rad {imp.phase_jump_step_rad} with "
+                f"phase_drift_std_rad {imp.phase_drift_std_rad} overflows "
+                "the phase error")
+        grid = grid * rotation[:, None]
+    return grid
+
+
+def reference_simulate_capture(cfg, scene):
+    _check_bounds(cfg, scene.reflectors())
+    csi = reference_channel_rows(cfg, scene.reflectors())
+    return reference_apply_noise_and_impairments(cfg, csi, scene)
+
+
+def reference_simulate_trajectory(cfg, path, *, gain=1.0 + 0.0j,
+                                  coupling=None, clutter=(), snr_db=None,
+                                  impairments=None):
+    _, ranges, velocities = trajectory_samples(
+        path, cfg.n_frames, cfg.frame_interval_s)
+    movers = [Target(float(r), float(v), gain) for r, v in zip(ranges, velocities)]
+    scene = Scene(targets=movers, coupling=coupling, clutter=clutter,
+                  snr_db=snr_db, impairments=impairments or Impairments())
+    _check_bounds(cfg, scene.reflectors())
+    statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
+
+    n = np.arange(cfg.n_subcarriers)
+    taus = 2.0 * ranges / SPEED_OF_LIGHT
+    delay_ramps = np.exp(-2j * np.pi * np.outer(
+        taus, n * cfg.subcarrier_spacing_hz))
+    f_d = 2.0 * velocities * cfg.carrier_freq_hz / SPEED_OF_LIGHT
+    steps = 2.0 * np.pi * cfg.frame_interval_s * f_d
+    psi = np.concatenate([[0.0], np.cumsum(steps[1:])])
+    grid = gain * np.exp(1j * psi)[:, None] * delay_ramps
+    if statics:
+        grid = grid + reference_channel_rows(cfg, statics)
+    return reference_apply_noise_and_impairments(cfg, grid, scene)
+
+
+def gains(low, high):
+    return st.one_of(st.floats(low, high),
+                     st.complex_numbers(min_magnitude=low, max_magnitude=high))
+
+
+def off_or(strategy):
+    return st.one_of(st.just(0.0), strategy)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_block_loop_matches_whole_array_reference(data):
+    # Frame counts around one and two blocks, so a block is short, whole
+    # or split; every noise and impairment switch; real and complex gains.
+    # No whole-array temporary here reaches numpy's 256 KiB threshold for
+    # reusing a temporary in place, which would swap the operands of the
+    # reference's complex gain * outer product.
+    b = _BLOCK_FRAMES
+    cfg = small_cfg(n=data.draw(st.integers(2, 9), label="subcarriers"),
+                    m=data.draw(st.sampled_from([2, b - 1, b, b + 1,
+                                                 2 * b + 3]), label="frames"))
+    jump_prob = data.draw(off_or(st.floats(0.01, 1.0)), label="jump prob")
+    impairments = Impairments(
+        delay_offset_samples=data.draw(off_or(st.floats(-5.0, 5.0)),
+                                       label="delay offset"),
+        phase_jump_step_rad=np.pi / 2 if jump_prob else 0.0,
+        phase_jump_prob=jump_prob,
+        phase_drift_std_rad=data.draw(off_or(st.floats(1e-3, 0.5)),
+                                      label="drift"),
+        rng_seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    clutter = [Target(data.draw(st.floats(0.0, 400.0)), 0.0,
+                      data.draw(gains(0.1, 2.0)))
+               for _ in range(data.draw(st.integers(0, 2), label="clutter"))]
+    coupling = data.draw(st.one_of(st.none(), gains(5.0, 100.0).map(
+        lambda g: Target(0.0, 0.0, g))), label="coupling")
+    snr_db = data.draw(st.one_of(st.none(), st.floats(-5.0, 40.0)),
+                       label="snr_db")
+
+    movers = [Target(data.draw(st.floats(0.0, 400.0)),
+                     data.draw(st.floats(-0.45, 0.45)),
+                     data.draw(gains(0.1, 2.0)))
+              for _ in range(data.draw(st.integers(1, 2), label="movers"))]
+    scene = Scene(targets=movers, coupling=coupling, clutter=clutter,
+                  snr_db=snr_db, impairments=impairments)
+    assert (simulate_capture(cfg, scene).tobytes()
+            == reference_simulate_capture(cfg, scene).tobytes())
+
+    duration = cfg.n_frames * cfg.frame_interval_s
+    start = data.draw(st.floats(1.0, 100.0), label="start range")
+    slopes = data.draw(st.lists(st.floats(-0.4, 0.4), min_size=2,
+                                max_size=2), label="slopes")
+    middle = start + slopes[0] * duration / 2
+    path = [(0.0, start, data.draw(st.one_of(st.none(), st.floats(-0.4, 0.4)),
+                                   label="stated velocity")),
+            (duration / 2, middle), (duration, middle + slopes[1] * duration / 2)]
+    kwargs = dict(gain=data.draw(gains(0.1, 2.0), label="gain"),
+                  coupling=coupling, clutter=clutter, snr_db=snr_db,
+                  impairments=impairments)
+    assert (simulate_trajectory(cfg, path, **kwargs).tobytes()
+            == reference_simulate_trajectory(cfg, path, **kwargs).tobytes())

@@ -79,6 +79,16 @@ def test_calc_with_snr(capsys):
                                                               abs=1e-5)
 
 
+@pytest.mark.parametrize("flag, name", [("--subcarriers", "n_subcarriers"),
+                                        ("--frames", "n_frames")])
+def test_calc_count_past_the_float_range_exits_3(capsys, flag, name):
+    # Such a count overflowed the bandwidth or resolution products with a
+    # traceback (exit 1).
+    assert main(["calc", "--preset", "wifi-ax211", flag, "1" + "0" * 400]) == 3
+    assert capsys.readouterr() == (
+        "", f"csisense: {name} is too large for a float\n")
+
+
 def test_calc_bandwidth_only(capsys):
     assert main(["calc", "--bandwidth", "1.499e8"]) == 0
     values = parse_kv(capsys.readouterr().out)
@@ -617,6 +627,56 @@ def test_process_same_file_twice_exits_2_before_the_read(workdir, tmp_path,
     assert cap.read_bytes() == (workdir / "cap.bin").read_bytes()
 
 
+@pytest.mark.parametrize("flag, name, spelling", [
+    ("--out", "map_00000.csv", "m"),
+    ("--out", "map_00000.pgm", "m"),
+    ("--out", "map_123456.csv", "m"),
+    ("--emit-spectrogram", "map_00001.pgm", "m/../m"),
+    ("--emit-spectrogram", "map_00002.csv", "link"),
+    ("capture", "map_00000.csv", "m"),
+])
+def test_process_output_named_like_a_map_file_exits_2_before_the_read(
+        workdir, tmp_path, capsys, flag, name, spelling):
+    # --emit-maps would overwrite a file output, or the capture, in its
+    # folder that is named like one of its maps (the capture was lost and
+    # the run then failed on the map's text); the command is refused before
+    # the read, however the folder is spelled, and nothing is written.
+    maps = tmp_path / "m"
+    maps.mkdir()
+    (tmp_path / "link").symlink_to(maps)
+    path = tmp_path / spelling / name
+    capture = workdir / "cap.bin"
+    if flag == "capture":
+        path.write_bytes(capture.read_bytes())
+        capture, argv = path, []
+    else:
+        argv = [flag, str(path)]
+    before = sorted(maps.iterdir())
+    assert main(["process", str(capture), "--window", "16", *argv,
+                 "--emit-maps", str(maps)]) == 2
+    assert capsys.readouterr() == (
+        "", f"csisense: cannot write {path}: --emit-maps writes a map file "
+            f"of that name into {maps}\n")
+    assert sorted(maps.iterdir()) == before
+    assert capture.read_bytes() == (workdir / "cap.bin").read_bytes()
+
+
+def test_process_output_beside_the_maps_is_written(workdir, tmp_path):
+    maps = tmp_path / "m"
+    maps.mkdir()
+    outputs = [maps / "detections.jsonl", maps / "map_0000.csv",
+               maps / "map_00000.txt"]
+    for out in outputs:
+        assert main(["process", str(workdir / "cap.bin"), "--window", "16",
+                     "--stride", "16", "--out", str(out),
+                     "--emit-maps", str(maps)]) == 0
+    maps_written = [f"map_{i:05d}.{ext}" for i in range(3)
+                    for ext in ("csv", "pgm")]
+    assert sorted(p.name for p in maps.iterdir()) == sorted(
+        [out.name for out in outputs] + maps_written)
+    assert all(json.loads(line) for line in outputs[0].read_text().splitlines())
+
+
 def coupling_capture(path, frames, n_sub=256):
     """A capture whose every frame is a zero-delay coupling plus noise."""
     cfg = make_config(n_subcarriers=n_sub, n_frames=32,
@@ -999,6 +1059,46 @@ def test_eval_exits_cleanly_on_mutated_inputs(tmp_path_factory, data):
     medians = re.findall(r"median=(\S+)", printed.getvalue())
     assert len(medians) == (0 if err.getvalue() else 2)
     assert all(math.isfinite(float(m)) for m in medians)
+
+
+# The calc property's flags and the text it puts after each: the eval
+# edge numbers, non-integers, nan, inf and an empty value.
+_CALC_FLAGS = ["--subcarriers", "--frames", "--spacing", "--bandwidth",
+               "--frame-interval", "--carrier-freq", "--snr-db"]
+_CALC_EDGES = _EDGE_NUMBERS + ["nan", "-nan", "inf", "-inf", "", "64",
+                               "1e400", "0x10", " 2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_calc_exits_cleanly_on_mutated_arguments(data):
+    # calc --preset wifi-ax211 with edge values for some of its flags: exit
+    # 0 or 3, stderr empty or one csisense line, no warning, and on exit 0
+    # every printed number is finite.
+    argv = ["calc", "--preset", "wifi-ax211"]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        flag = data.draw(st.sampled_from(_CALC_FLAGS), label="flag")
+        value = data.draw(st.sampled_from(_CALC_EDGES), label="value")
+        # "--flag value" reads a value that starts with "-" as a flag.
+        if data.draw(st.booleans(), label="joined"):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    err, printed = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stderr(err), redirect_stdout(printed):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 3)
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"(csisense[^\n]*\n)?", err.getvalue())
+    assert (code == 0) == (err.getvalue() == "")
+    if code == 0:
+        values = parse_kv(printed.getvalue())
+        assert len(values) in (5, 6)
+        for text in values.values():
+            number = text.split("#")[0].strip().removeprefix("+-")
+            assert math.isfinite(float(number))
 
 
 def test_gesture_preset_passes_eval_end_to_end(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -150,6 +151,26 @@ def test_load_preset_and_file(tmp_path):
     assert load_scenario(str(path)).frame_count == 320
     with pytest.raises(ScenarioError, match="neither a preset"):
         load_scenario("nonexistent-scenario")
+
+
+def test_simulate_holds_the_result_noise_and_one_block():
+    # A noisy, impaired trajectory with coupling is built one block of
+    # frames at a time: the result (16 bytes a sample), the real noise
+    # draws (8) and one block, not whole-capture temporaries (4x the result
+    # when every step made one).
+    scenario = parse_scenario(SCENARIO_TEST1.replace(
+        "frame_count = 156", "frame_count = 2048").replace(
+        "path = 0, 0.6; 3.9, 0.3", "path = 0, 0.6; 51.2, 1.2"))
+    tracemalloc.start()
+    try:
+        _, capture, _ = simulate_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capture.shape == (2048, 512)
+    assert scenario.snr_db is not None and scenario.coupling_gain_db
+    assert scenario.delay_offset_samples and scenario.phase_jump_prob
+    assert peak < 2 * capture.nbytes
 
 
 def test_simulate_scenario_deterministic():
