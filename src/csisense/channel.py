@@ -108,14 +108,26 @@ class Scene:
         return max(abs(t.gain) for t in (*self.targets, *self.clutter)) ** 2
 
 
-def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
+def _check_kinematics(cfg: WaveformConfig, ranges: Sequence[float],
+                      velocities: Sequence[float]) -> None:
+    """Refuse the first (range, velocity) pair outside the unambiguous
+    limits, naming its range before its velocity."""
     r_max, v_max = unambiguous_limits(cfg)
-    for t in targets:
-        if not 0.0 <= t.range_m < r_max:
-            raise ValueError(f"target range {t.range_m} m outside [0, {r_max})")
-        if abs(t.velocity_mps) >= v_max / 2.0:
-            raise ValueError(
-                f"target velocity {t.velocity_mps} m/s outside +-{v_max / 2.0}")
+    r = np.asarray(ranges, dtype=float)
+    bad_range = ~((0.0 <= r) & (r < r_max))
+    bad = bad_range | (np.abs(np.asarray(velocities, dtype=float))
+                       >= v_max / 2.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_range[i]:
+            raise ValueError(f"target range {ranges[i]} m outside [0, {r_max})")
+        raise ValueError(
+            f"target velocity {velocities[i]} m/s outside +-{v_max / 2.0}")
+
+
+def _check_bounds(cfg: WaveformConfig, targets: Sequence[Target]) -> None:
+    _check_kinematics(cfg, [t.range_m for t in targets],
+                      [t.velocity_mps for t in targets])
 
 
 def _channel_rows(cfg: WaveformConfig, targets: Sequence[Target],
@@ -313,11 +325,16 @@ def simulate_trajectory(cfg: WaveformConfig, path: Sequence[Tuple], *,
     """
     _, ranges, velocities = trajectory_samples(
         path, cfg.n_frames, cfg.frame_interval_s)
-    movers = [Target(float(r), float(v), gain) for r, v in zip(ranges, velocities)]
-    scene = Scene(targets=movers, coupling=coupling, clutter=clutter,
+    # The scene's rules read only the mover's gain, so frame 0 stands for
+    # every frame; the frames' ranges and velocities are checked whole.
+    mover = Target(float(ranges[0]), float(velocities[0]), gain)
+    scene = Scene(targets=(mover,), coupling=coupling, clutter=clutter,
                   snr_db=snr_db, impairments=impairments or Impairments())
-    _check_bounds(cfg, scene.reflectors())
     statics = ((coupling,) if coupling is not None else ()) + tuple(clutter)
+    # The scene put the coupling at zero range and velocity, inside the
+    # limits, so the mover's frames are the first that can be refused.
+    _check_kinematics(cfg, ranges, velocities)
+    _check_bounds(cfg, statics)
 
     spacings = np.arange(cfg.n_subcarriers) * cfg.subcarrier_spacing_hz
     taus = 2.0 * ranges / SPEED_OF_LIGHT

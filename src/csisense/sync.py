@@ -1,11 +1,14 @@
 """Time-phase synchronization: coarse/fine delay recovery from the peak of
 frame 0's impulse response, delay compensation, and frame phase alignment
-that removes quantized phase jumps while keeping small drifts."""
+that removes quantized phase jumps while keeping small drifts. The phase
+recursion is plain Python in one fixed order, so its bits do not depend on
+numpy's version or build."""
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -42,8 +45,13 @@ class SyncParams:
                              f"[1, {MAX_UPSAMPLE_FACTOR}]")
         if not 0.0 < self.phase_step_rad <= np.pi:
             raise ValueError("phase_step_rad must be in (0, pi]")
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
+        # A deviation of up to pi is counted in steps as a finite float.
+        if not math.isfinite(math.pi / float(self.phase_step_rad)):
+            raise ValueError(f"phase_step_rad {self.phase_step_rad} is too "
+                             "small: pi / phase_step_rad is not finite")
+        # The history is a deque, whose length is a C ssize_t.
+        if not 1 <= self.history_len <= sys.maxsize:
+            raise ValueError(f"history_len must be in [1, {sys.maxsize}]")
         if self.max_lag is not None and self.max_lag < 1:
             raise ValueError("max_lag must be >= 1")
 
@@ -193,47 +201,6 @@ def frame_phases(grid: np.ndarray) -> np.ndarray:
     return np.where(undefined, np.nan, np.angle(means))
 
 
-def _numpy_sum(values) -> complex:
-    """Sum of complex values, bit-identical to numpy's complex ``add.reduce``.
-
-    Up to 64 values numpy sums one unrolled block: below 4 values in order;
-    from 4 on, four interleaved partial sums c_j = x[j] + x[j+4] + ...,
-    combined as (c0 + c1) + (c2 + c3), then the values past the last
-    multiple of 4 in order. Longer sums split at the largest multiple of 4
-    not above half and add the two halves' sums. numpy adds the whole sum
-    to its identity 0, which turns a -0.0 part into +0.0; doing that at
-    every level gives the same bits."""
-    n = len(values)
-    if n > 64:
-        values = list(values)
-        half = n // 2 - n // 2 % 4
-        return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-    if n < 4:
-        total = 0j
-        for x in values:
-            total += x
-        return total
-    c0, c1, c2, c3 = values[0], values[1], values[2], values[3]
-    k = 4
-    while k + 4 <= n:
-        c0 += values[k]
-        c1 += values[k + 1]
-        c2 += values[k + 2]
-        c3 += values[k + 3]
-        k += 4
-    total = (c0 + c1) + (c2 + c3)
-    while k < n:
-        total += values[k]
-        k += 1
-    return total + 0j
-
-
-def _unit(angle: float) -> complex:
-    """np.exp(1j * angle) bit for bit: numpy forms 1j * angle as a complex
-    product whose imaginary part is 0.0 + angle, so -0.0 gives 1+0j."""
-    return cmath.exp(complex(0.0, angle + 0.0))
-
-
 def align_phases(grid: np.ndarray,
                  params: Optional[SyncParams] = None, *,
                  prior: Optional[SyncReport] = None,
@@ -260,15 +227,8 @@ def align_phases(grid: np.ndarray,
     new array is returned and the input is left as it was.
 
     Frame phases are measured in one vectorized pass and the fixes applied
-    in one product; only the recursion between them runs per frame, over
-    Python floats and complexes. It gives the same bits as the numpy
-    expressions it replaces: the reference is the angle of the mean of the
-    last ``history_len`` unit vectors, summed in numpy's order (see
-    ``_numpy_sum``) and scaled by 1/n, as ``np.mean`` does; a mean below
-    1e-12 in magnitude (``abs`` is ``hypot``, as in ``np.abs``) keeps the
-    last corrected phase; the angle is ``np.arctan2``, which can differ
-    from ``math.atan2`` in the last bit; and the rounding keeps the sign of
-    a zero, as ``np.round`` does.
+    in one product; only the recursion between them runs per frame, in
+    plain Python in one fixed order.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid, dtype=complex)
@@ -288,18 +248,23 @@ def align_phases(grid: np.ndarray,
         raw, fixes, refs = [], [], []
     # The last history_len corrected phases, and their unit vectors.
     tail = deque(history, maxlen=p.history_len)
-    recent = deque(map(_unit, tail), maxlen=p.history_len)
+    recent = deque((cmath.rect(1.0, phase) for phase in tail),
+                   maxlen=p.history_len)
     for theta in observed:
         if math.isnan(theta):
             theta = last
-        vec = _numpy_sum(recent) * (1.0 / len(recent))
-        reference = (last if abs(vec) < 1e-12
-                     else float(np.arctan2(vec.imag, vec.real)))
+        # A fold, not sum(), whose rounding changed in CPython 3.12.
+        total = 0j
+        for vec in recent:
+            total += vec
+        mean = total / len(recent)
+        reference = (last if abs(mean) < 1e-12
+                     else math.atan2(mean.imag, mean.real))
         steps = _wrap(reference - theta) / delta
         fix = math.copysign(float(round(steps)), steps) * delta
         last = _wrap(theta + fix)
         tail.append(last)
-        recent.append(_unit(last))
+        recent.append(cmath.rect(1.0, last))
         raw.append(theta)
         fixes.append(fix)
         refs.append(reference)

@@ -221,6 +221,34 @@ def test_simulate_trajectory_keeps_scene_rules(statics, message):
         simulate_trajectory(cfg, [(0.0, 10.0, 0.0)], **statics)
 
 
+# The mover's frames are checked as arrays, with the messages of a check
+# one frame at a time: the first frame out of bounds is named, its range
+# before its velocity, and the mover before the clutter.
+_RANGE_LIMIT = "outside [0, 479.68)"
+_VELOCITY_LIMIT = "outside +-0.4758730158730159"
+
+
+@pytest.mark.parametrize("path, clutter, message", [
+    ([(0, 10, 0.0), (0.1, 10, 0.0), (0.2, 900, 0.0), (0.4, 900, 0.0)], (),
+     f"target range 677.5000000000001 m {_RANGE_LIMIT}"),
+    ([(0, 10, 0.0), (0.1, 10, 0.9), (0.2, 10, 0.0), (0.4, 10, 0.0)], (),
+     f"target velocity 0.9 m/s {_VELOCITY_LIMIT}"),
+    ([(0, 10, 0.0), (0.1, 10, 0.0), (0.125, 900, 0.9), (0.4, 900, 0.0)], (),
+     f"target range 900.0 m {_RANGE_LIMIT}"),
+    ([(0, 10, 0.0), (0.1, 10, 0.9), (0.2, 10, 0.0), (0.4, 10, 0.0)],
+     (Target(600.0, 0.0, 0.5),), f"target velocity 0.9 m/s {_VELOCITY_LIMIT}"),
+    ([(0, 10, 0.0), (0.4, 10, 0.0)],
+     (Target(2.0, 0.0, 0.5), Target(600.0, 0.0, 0.5)),
+     f"target range 600.0 m {_RANGE_LIMIT}"),
+])
+def test_simulate_trajectory_names_the_first_frame_out_of_bounds(
+        path, clutter, message):
+    with pytest.raises(ValueError) as refused:
+        simulate_trajectory(small_cfg(), path, clutter=clutter,
+                            coupling=Target(0.0, 0.0, 10.0))
+    assert str(refused.value) == message
+
+
 def test_impairments_validation():
     with pytest.raises(ValueError):
         Impairments(phase_jump_prob=0.5)  # no step set

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csisense
@@ -1099,6 +1099,61 @@ def test_calc_exits_cleanly_on_mutated_arguments(data):
         for text in values.values():
             number = text.split("#")[0].strip().removeprefix("+-")
             assert math.isfinite(float(number))
+
+
+# The process property's flags and the text it puts after each: the eval
+# edge numbers, 30-digit integers, nan, inf, an empty value, and a count
+# small enough for the 40-frame, 16-subcarrier capture.
+_PROCESS_FLAGS = ["--window", "--stride", "--upsample", "--delta",
+                  "--history", "--max-lag", "--threshold-db"]
+_PROCESS_EDGES = _EDGE_NUMBERS + ["1" + "0" * 29, "9" * 30, "nan", "inf",
+                                  "", "3"]
+
+
+@pytest.fixture(scope="module")
+def small_synced_capture(tmp_path_factory):
+    root = tmp_path_factory.mktemp("process-argv")
+    scenario = root / "small.scenario"
+    scenario.write_text(SMALL_SCENARIO.replace("subcarriers = 64",
+                                               "subcarriers = 16")
+                        .replace("frame_count = 48", "frame_count = 40"))
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "1",
+                 "--out", str(root / "cap.bin")]) == 0
+    return root / "cap.bin"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(_PROCESS_FLAGS),
+                                    st.sampled_from(_PROCESS_EDGES),
+                                    st.booleans()), min_size=1, max_size=3))
+@example(mutations=[("--history", "1" + "0" * 29, False)])
+@example(mutations=[("--delta", "1e-308", False)])
+@example(mutations=[("--delta", "5e-324", True)])
+def test_process_exits_cleanly_on_mutated_arguments(small_synced_capture,
+                                                     mutations):
+    # process on a small synced capture with edge values for some of its
+    # flags: exit 0, 2 or 3, stderr empty or one csisense line, no warning,
+    # and on exit 0 every detection's numbers are finite.
+    argv = ["process", str(small_synced_capture)]
+    for flag, value, joined in mutations:
+        # "--flag value" reads a value that starts with "-" as a flag.
+        argv += [f"{flag}={value}"] if joined else [flag, value]
+    err, printed = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stderr(err), redirect_stdout(printed):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"(csisense[^\n]*\n)?", err.getvalue())
+    assert (code == 0) == (err.getvalue() == "")
+    if code == 0:
+        for line in printed.getvalue().splitlines():
+            det = json.loads(line)
+            assert all(math.isfinite(v) for v in det.values()
+                       if isinstance(v, (int, float)))
+    else:
+        assert printed.getvalue() == ""
 
 
 def test_gesture_preset_passes_eval_end_to_end(tmp_path, capsys):

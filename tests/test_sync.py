@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -298,6 +300,26 @@ def test_sync_params_validation():
         SyncParams(history_len=0)
 
 
+@pytest.mark.parametrize("step", [1e-308, 5e-324])
+def test_sync_params_refuse_a_step_too_small_to_count(step):
+    # pi / step overflows, so the deviation in steps would be infinite.
+    with pytest.raises(ValueError, match=f"phase_step_rad {step} is too "
+                                         "small"):
+        SyncParams(phase_step_rad=step)
+    assert SyncParams(phase_step_rad=1e-300).phase_step_rad == 1e-300
+
+
+def test_sync_params_refuse_a_history_no_deque_can_hold():
+    for length in (sys.maxsize + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=r"history_len must be in "
+                                             r"\[1, "):
+            SyncParams(history_len=length)
+    grid = np.exp(1j * np.arange(12.0)).reshape(4, 3)
+    params = SyncParams(history_len=sys.maxsize)
+    assert align_phases(grid, params)[1].history_rad \
+        == align_phases(grid, SyncParams(history_len=4))[1].history_rad
+
+
 def test_coarse_delay_tie_breaks_toward_smaller_lag():
     # Every tap of a constant sequence ties.
     x = np.ones(16, dtype=complex)
@@ -375,10 +397,16 @@ def _reference_wrap(angle):
 
 
 def _reference_circular_mean(angles):
-    vec = np.mean(np.exp(1j * np.asarray(angles)))
+    # Summed left to right from 0, as align_phases does: any other order
+    # (numpy's pairwise sum, or builtin sum since CPython 3.12) rounds
+    # differently.
+    total = 0j
+    for vec in np.exp(1j * np.asarray(angles)):
+        total += complex(vec)
+    vec = total / len(angles)
     if np.abs(vec) < 1e-12:
         return float(angles[-1])
-    return float(np.angle(vec))
+    return math.atan2(vec.imag, vec.real)
 
 
 def _reference_align_phases(grid, p):
@@ -477,9 +505,9 @@ def _frame_grids(draw):
     return grid.astype(np.complex64) if draw(st.booleans()) else grid
 
 
-# Half the draws take a history past numpy's 64-value summation block,
-# where the sum splits in two. The examples run long enough to fill a
-# history of 129 or 200, whose halves split again.
+# Half the draws take a history longer than 64 frames. The examples run
+# long enough to fill a history of 129 or 200, where a sum in any other
+# order than left to right rounds differently.
 _LONG_GRID = np.exp(
     1j * np.random.default_rng(7).uniform(-np.pi, np.pi, (300, 6)))
 
