@@ -423,6 +423,14 @@ def reference_simulate_trajectory(cfg, path, *, gain=1.0 + 0.0j,
     return reference_apply_noise_and_impairments(cfg, grid, scene)
 
 
+def outcome(simulate, *args, **kwargs):
+    """The capture's bytes, or the message it is refused with."""
+    try:
+        return simulate(*args, **kwargs).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 def gains(low, high):
     return st.one_of(st.floats(low, high),
                      st.complex_numbers(min_magnitude=low, max_magnitude=high))
@@ -481,5 +489,7 @@ def test_block_loop_matches_whole_array_reference(data):
     kwargs = dict(gain=data.draw(gains(0.1, 2.0), label="gain"),
                   coupling=coupling, clutter=clutter, snr_db=snr_db,
                   impairments=impairments)
-    assert (simulate_trajectory(cfg, path, **kwargs).tobytes()
-            == reference_simulate_trajectory(cfg, path, **kwargs).tobytes())
+    # A path that closes in fast from a short start range goes below zero
+    # before it ends; then both must refuse it with the same message.
+    assert (outcome(simulate_trajectory, cfg, path, **kwargs)
+            == outcome(reference_simulate_trajectory, cfg, path, **kwargs))

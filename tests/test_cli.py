@@ -734,13 +734,13 @@ def test_process_peak_is_flat_in_capture_length(tmp_path, frames):
 
 # Minor page faults of one in-process process call on a 10000-frame,
 # 512-subcarrier capture (41 MB), after a first call, in a fresh
-# interpreter: 423 on glibc 2.36, numpy 2.4, against 600 to 10000 for a
-# read of the whole capture. A block order that makes malloc return a
-# block's arrays to the system and fault them back in for the next block
-# costs tens of thousands. The interpreter is fresh because malloc sets its
-# thresholds from what the process freed before. Only the default path is
-# checked: with --no-sync the same code reads 294 or 34854, flipped by as
-# little as the length of argv.
+# interpreter: 8 on glibc 2.36, numpy 2.4, with or without sync, against
+# 600 to 10000 for a read of the whole capture. Malloc returning a block's
+# arrays to the system and faulting them back in for the next block costs
+# tens of thousands: under glibc's dynamic thresholds both paths read 300
+# to 400 or about 35000, flipped by as little as the length of argv, which
+# process now fixes. The interpreter is fresh because malloc sets its
+# thresholds from what the process freed before.
 PROCESS_MINOR_FAULTS = 3000
 
 _COUNT_FAULTS = """
@@ -759,11 +759,12 @@ def test_process_does_not_refault_each_block(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(csisense.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _COUNT_FAULTS, "process", str(cap),
-         "--stride", "32", "--out", str(tmp_path / "d.jsonl")],
-        env=env, capture_output=True, text=True, check=True)
-    assert int(run.stdout) < PROCESS_MINOR_FAULTS
+    for extra in ([], ["--no-sync"]):
+        run = subprocess.run(
+            [sys.executable, "-c", _COUNT_FAULTS, "process", str(cap),
+             "--stride", "32", "--out", str(tmp_path / "d.jsonl"), *extra],
+            env=env, capture_output=True, text=True, check=True)
+        assert int(run.stdout) < PROCESS_MINOR_FAULTS, extra
 
 
 def test_process_truncated_capture_exits_2(workdir, tmp_path):
