@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 evaluation failure, 2 I/O or format error,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import os
-import platform
 import re
 import sys
 from typing import Optional
@@ -206,18 +204,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _keep_freed_blocks_mapped() -> None:
-    """Fix glibc's malloc thresholds at the 64-bit ceiling of its dynamic
-    rule, under which whether a block's freed arrays go back to the system,
-    to be faulted in again by the next block, turns on a few kB of heap
-    layout (as little as the length of argv). Other C libraries are left
-    alone."""
-    if platform.libc_ver()[0] == "glibc":
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap up to 32 MiB
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep 64 MiB free
-
-
 def cmd_process(args) -> int:
     if args.no_sync and args.emit_sync_report:
         raise ValueError("--emit-sync-report requires synchronization "
@@ -258,7 +244,6 @@ def cmd_process(args) -> int:
             sync_params=params, sync_reports=sync_reports)
 
     reports = [] if args.emit_sync_report else None
-    _keep_freed_blocks_mapped()
     try:
         detections = rdmap.track(maps(reports), threshold_db=args.threshold_db)
     except SyncError as exc:

@@ -17,11 +17,11 @@ from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
 # Peak-over-median-floor detection threshold, dB.
 DEFAULT_THRESHOLD_DB = 12.0
 
-# Frames that window_maps synchronizes and range-transforms at a time. At
-# 512 subcarriers a block is 0.5 MB of complex128. On a 10000-frame capture
-# (2 cores, numpy 2.4) blocks of 32 frames ran about 5% slower, with twice
-# the calls; blocks of 128 frames hold more than a 156-frame capture's
-# whole complex128 copy.
+# Frames that window_maps synchronizes and range-transforms at a time, in
+# its buffer behind the carried rows: 0.5 MB of complex128 at 512
+# subcarriers. On a 10000-frame capture (2 cores, numpy 2.4) blocks of 32
+# frames ran about 5% slower, with twice the calls; blocks of 128 frames
+# hold more than a 156-frame capture's whole complex128 copy.
 _BLOCK_FRAMES = 64
 
 
@@ -117,20 +117,26 @@ def _axis_window(kind: str, length: int) -> np.ndarray:
     return taper
 
 
-def range_profiles(grid: np.ndarray, window_fn: str = "rect") -> np.ndarray:
+def range_profiles(grid: np.ndarray, window_fn: str = "rect",
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Range profile of each frame: the subcarrier taper, then an
     (unnormalized) inverse DFT over subcarriers, so a return at delay tau
     peaks at bin tau*B.
 
     The transform acts on the last axis only, so it can run once per frame
-    and its rows be shared by every window that holds the frame.
+    and its rows be shared by every window that holds the frame. The
+    profiles go to ``out`` when given: complex128, the grid's shape, and
+    possibly the grid itself.
     """
     grid = np.asarray(grid)
     n_sub = grid.shape[-1]
+    out = np.empty(grid.shape, complex) if out is None else out
+    np.multiply(grid, _axis_window(window_fn, n_sub), out=out)
+    # np.fft takes out= only from numpy 2.0, so the transform is copied in.
+    out[...] = np.fft.ifft(out, axis=-1)
     # The unnormalized sum: an on-bin unit exponential peaks at N.
-    profiles = np.fft.ifft(grid * _axis_window(window_fn, n_sub), axis=-1)
-    profiles *= n_sub
-    return profiles
+    out *= n_sub
+    return out
 
 
 def range_doppler(profiles: np.ndarray, cfg: WaveformConfig,
@@ -258,11 +264,12 @@ def window_maps(capture, cfg: WaveformConfig,
     report is appended to ``sync_reports`` when it is given, and
     ``SyncReport.concatenate`` of them is the capture's report. Each frame's
     range profile is then taken once, and the profiles later windows need
-    (at most ``window - 1`` frames) are carried into the next block. So
+    (at most ``window - 1`` frames) are carried into the next block, all in
+    place in one complex128 buffer of ``window - 1`` plus a block's rows. So
     memory beyond the capture itself (nothing, for a ``CaptureFile``) is
-    one block's working set, flat in the capture length. Each window slices
-    its profiles, is DC-removed (mean removal commutes with the range
-    transform) and gets its Doppler transform.
+    that buffer and one block's read, flat in the capture length. Each
+    window slices its profiles, is DC-removed (mean removal commutes with
+    the range transform) and gets its Doppler transform.
     """
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
@@ -272,34 +279,37 @@ def window_maps(capture, cfg: WaveformConfig,
     start = next(pending)
     half = (window - 1) / 2.0
     report = None
-    held = np.empty(0)  # profiles of the frames from `start` on
+    # The carried profiles at the head, then each block's frames.
+    buffer = np.empty((window - 1 + _BLOCK_FRAMES, capture.shape[1]), complex)
+    carried = 0
     for lo in range(0, capture.shape[0], _BLOCK_FRAMES):
-        block = capture[lo:lo + _BLOCK_FRAMES]
+        hi = min(lo + _BLOCK_FRAMES, capture.shape[0])
+        first = lo - carried  # the frame of buffer[0]
+        # The block's read is not kept: it goes straight into its rows.
+        block = buffer[carried:carried + hi - lo]
         if apply_sync:
-            block, report = synchronize(block, sync_params, prior=report)
+            _, report = synchronize(capture[lo:hi], sync_params,
+                                    prior=report, out=block)
             if sync_reports is not None:
                 sync_reports.append(report)
+        else:
+            block[...] = capture[lo:hi]
         if start is None:
             continue  # past the last window: read for the check and report
-        # The carried rows are copied out, so the last block's profiles are
-        # freed before this block's are taken, and the block before its
-        # maps are formed: one block's arrays are alive at a time.
-        held, profiles = held.copy(), None
-        fresh = range_profiles(block[:end - lo], window_fn)
-        hi = lo + len(fresh)
-        profiles = np.concatenate([held, fresh]) if len(held) else fresh
-        block = held = fresh = None
-        first = hi - len(profiles)  # the frame of profiles[0]
+        hi = min(hi, end)
+        fresh = block[:hi - lo]
+        range_profiles(fresh, window_fn, out=fresh)
         while start is not None and start + window <= hi:
-            rows = profiles[start - first:start - first + window]
+            rows = buffer[start - first:start - first + window]
             if apply_sic:
                 rows = sic.remove_dc(rows)
             t = (start + half) * cfg.frame_interval_s
             yield range_doppler(rows, cfg, window_fn=window_fn,
                                 timestamp_s=t)
             start = next(pending, None)
-        if start is not None:
-            held = profiles[start - first:]
+        if start is not None:  # a stride beyond the window may skip frames
+            carried = max(hi - start, 0)
+            buffer[:carried] = buffer[hi - first - carried:hi - first]
 
 
 def track(maps: Iterable[RangeDopplerMap],

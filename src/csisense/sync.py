@@ -172,10 +172,12 @@ def _delay_ramp(n_sub: int, lag_samples: float) -> np.ndarray:
     return ramp
 
 
-def compensate_delay(grid: np.ndarray, lag_samples: float) -> np.ndarray:
+def compensate_delay(grid: np.ndarray, lag_samples: float,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Undo a sample-delay offset: counter-rotate each subcarrier's phase so
-    the zero-delay return lands on range bin 0."""
-    return grid * _delay_ramp(grid.shape[-1], lag_samples)
+    the zero-delay return lands on range bin 0; into ``out``, when given,
+    as in numpy's ufuncs."""
+    return np.multiply(grid, _delay_ramp(grid.shape[-1], lag_samples), out=out)
 
 
 def _wrap(angle: float) -> float:
@@ -277,7 +279,8 @@ def align_phases(grid: np.ndarray,
 
 
 def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None, *,
-                prior: Optional[SyncReport] = None
+                prior: Optional[SyncReport] = None,
+                out: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, SyncReport]:
     """Full sync pass over a capture, or over a block of its frames: delay
     estimate from the dominant (zero-delay coupling) return, compensation,
@@ -293,9 +296,9 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None, *,
     corrected phases (see ``align_phases``). So synchronizing a capture
     block by block gives the same bits as one call; each report covers its
     own block, and ``SyncReport.concatenate`` of them equals the one call's
-    report. The caller's grid is never written; the one copy made is a
-    complex128 one of ``grid``, so a whole capture costs a copy of it and a
-    block-by-block caller one block's.
+    report. The result goes to ``out``, a complex128 array of the grid's
+    shape that may be ``grid`` itself, or by default to a new array; no
+    other complex array of the grid's size is made.
     """
     p = params if params is not None else SyncParams()
     grid = np.asarray(grid)
@@ -309,9 +312,9 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None, *,
         fine = fine_delay(received, coarse, p.upsample_factor)
     else:
         coarse, fine = prior.coarse_lag_samples, prior.fine_lag_samples
-    # compensate_delay's product (which upcasts a complex64 grid exactly) is
-    # the one copy, and phase alignment rotates it in place.
-    grid = compensate_delay(grid, coarse + fine)
+    # compensate_delay's product upcasts a complex64 grid exactly, and phase
+    # alignment rotates it in place.
+    grid = compensate_delay(grid, coarse + fine, out=out)
     grid, report = align_phases(grid, p, prior=prior, out=grid)
     report.coarse_lag_samples = int(coarse)
     report.fine_lag_samples = float(fine)

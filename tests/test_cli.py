@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csisense
-from csisense import cli
+from csisense import cli, rdmap
 from csisense.capture_io import (CaptureFormatError, read_capture_array,
                                  write_capture, write_sync_report_json)
 from csisense.cli import main
@@ -688,17 +688,22 @@ def coupling_capture(path, frames, n_sub=256):
     return frames * n_sub * 8  # the payload's bytes
 
 
-# Beyond the capture's complex64 bytes, process holds at most one block's
-# working set, whatever the capture length: at 256 subcarriers 1.4 MB with
-# sync and 0.8 MB without, on numpy 2.4 (a whole-capture complex128 copy
-# is 4.2 MB per 1024 frames). The next test bounds the whole peak.
-PROCESS_WORKING_SET_BYTES = 2_500_000
+# process reads its capture a block of frames at a time, so beyond its
+# stream buffer (window - 1 + _BLOCK_FRAMES complex128 rows, 0.39 MB at the
+# default window of 32 and 256 subcarriers) it holds one block's working
+# set, whatever the capture length: on numpy 2.4, 0.78 MB with sync in a
+# process's first call (which also imports modules lazily), 0.66 MB after
+# it, and 0.51 MB without sync. The bound leaves 0.17 MB above the
+# largest; synchronizing each block into a copy of its own, beside the
+# buffer, reads 1.18 MB or more. The next test bounds the whole peak.
+PROCESS_WORKING_SET_BYTES = 950_000
 
 
 @pytest.mark.parametrize("frames", [2048, 8192])
 def test_process_holds_the_capture_and_one_block(tmp_path, frames):
     cap = tmp_path / "cap.bin"
-    capture_bytes = coupling_capture(cap, frames)
+    coupling_capture(cap, frames)
+    buffer_bytes = (32 - 1 + rdmap._BLOCK_FRAMES) * 256 * 16
     for extra in ([], ["--no-sync"]):
         tracemalloc.start()
         try:
@@ -707,14 +712,15 @@ def test_process_holds_the_capture_and_one_block(tmp_path, frames):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - capture_bytes < PROCESS_WORKING_SET_BYTES, extra
+        assert peak - buffer_bytes < PROCESS_WORKING_SET_BYTES, extra
 
 
-# process reads the capture from its file a block of frames at a time, so
-# its whole peak is one block's working set: at 256 subcarriers 1.2 MB
-# with sync and 0.9 MB without, on numpy 2.4, against captures of 4 and
-# 16 MB.
-PROCESS_PEAK_BYTES = 2_000_000
+# The whole peak of process is its stream buffer and one block's working
+# set: at 256 subcarriers, on numpy 2.4, 1.17 MB with sync in a process's
+# first call, 1.04 MB after it, and 0.90 MB without sync, against captures
+# of 4 and 16 MB. The bound leaves 0.18 MB above the largest; a sync copy
+# of each block beside the buffer reads 1.57 MB or more.
+PROCESS_PEAK_BYTES = 1_350_000
 
 
 @pytest.mark.parametrize("frames", [2048, 8192])
@@ -732,15 +738,15 @@ def test_process_peak_is_flat_in_capture_length(tmp_path, frames):
         assert peak < PROCESS_PEAK_BYTES, extra
 
 
-# Minor page faults of one in-process process call on a 10000-frame,
-# 512-subcarrier capture (41 MB), after a first call, in a fresh
-# interpreter: 8 on glibc 2.36, numpy 2.4, with or without sync, against
-# 600 to 10000 for a read of the whole capture. Malloc returning a block's
-# arrays to the system and faulting them back in for the next block costs
-# tens of thousands: under glibc's dynamic thresholds both paths read 300
-# to 400 or about 35000, flipped by as little as the length of argv, which
-# process now fixes. The interpreter is fresh because malloc sets its
-# thresholds from what the process freed before.
+# Minor page faults of one in-process process call on a 2048-frame,
+# 512-subcarrier capture, after a first call, in a fresh interpreter:
+# 358 to 391 on glibc 2.36, numpy 2.4, with or without sync, at every
+# length of the capture's path. window_maps writes every block into one
+# buffer, so no block's arrays are freed for the next block to fault back
+# in. When each block's arrays were allocated anew and freed, glibc's
+# dynamic thresholds gave about 420 or 7400 with sync and 290 or 7200
+# without, flipped by a few characters of argv. The interpreter is fresh
+# because malloc sets its thresholds from what the process freed before.
 PROCESS_MINOR_FAULTS = 3000
 
 _COUNT_FAULTS = """
@@ -755,16 +761,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 def test_process_does_not_refault_each_block(tmp_path):
     cap = tmp_path / "cap.bin"
-    coupling_capture(cap, 10000, n_sub=512)
+    coupling_capture(cap, 2048, n_sub=512)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(csisense.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    for extra in ([], ["--no-sync"]):
-        run = subprocess.run(
-            [sys.executable, "-c", _COUNT_FAULTS, "process", str(cap),
-             "--stride", "32", "--out", str(tmp_path / "d.jsonl"), *extra],
-            env=env, capture_output=True, text=True, check=True)
-        assert int(run.stdout) < PROCESS_MINOR_FAULTS, extra
+    for extra_chars in range(0, 32, 4):
+        folder = tmp_path / ("d" + "x" * extra_chars)
+        folder.mkdir()
+        (folder / "cap.bin").symlink_to(cap)
+        for extra in ([], ["--no-sync"]):
+            run = subprocess.run(
+                [sys.executable, "-c", _COUNT_FAULTS, "process",
+                 str(folder / "cap.bin"), "--stride", "32",
+                 "--out", str(tmp_path / "d.jsonl"), *extra],
+                env=env, capture_output=True, text=True, check=True)
+            assert int(run.stdout) < PROCESS_MINOR_FAULTS, (extra_chars,
+                                                            extra)
 
 
 def test_process_truncated_capture_exits_2(workdir, tmp_path):

@@ -78,6 +78,16 @@ def test_values_are_the_real_fft_magnitude():
     assert rdm.values.dtype == np.float64
     assert np.array_equal(rdm.values, np.abs(spectrum))
     assert rdm.magnitude() is rdm.values
+    # Profiles written to out=, apart or over their own grid, are the same
+    # bits; a complex64 or real grid also gives complex128 profiles.
+    for given in (grid, grid.astype(np.complex64), grid.real):
+        want = range_profiles(given, "hann")
+        assert want.dtype == np.complex128
+        own = given.astype(complex)
+        for source, out in ((given, np.empty(given.shape, complex)),
+                            (own, own)):
+            assert range_profiles(source, "hann", out=out) is out
+            assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("window_fn", ["rect", "hann"])

@@ -534,6 +534,22 @@ def test_align_phases_matches_per_frame_reference(grid, history_len, delta):
     result, _ = align_phases(in_place, params, out=in_place)
     assert result is in_place
     assert in_place.tobytes() == aligned.tobytes()
+    # synchronize writes the same bits and report through out=, apart from
+    # the grid (which it leaves unwritten) or over its complex128 copy.
+    try:
+        synced, sync_report = synchronize(grid, params)
+    except SyncError:
+        with pytest.raises(SyncError):
+            synchronize(grid, params, out=np.empty(grid.shape, complex))
+        return
+    own = grid.astype(complex)
+    for source, buf in ((grid, np.empty(grid.shape, complex)), (own, own)):
+        result, buf_report = synchronize(source, params, out=buf)
+        assert result is buf
+        assert buf.tobytes() == synced.tobytes()
+        assert (json.dumps(buf_report.to_json_dict())
+                == json.dumps(sync_report.to_json_dict()))
+    assert grid.tobytes() == given_bytes
 
 
 @st.composite
