@@ -16,6 +16,7 @@ from typing import IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import gridcsv
 from .rdmap import Detection, DopplerTimeProfile, RangeDopplerMap
 from .sync import SyncReport
 from .waveform import WaveformConfig
@@ -212,28 +213,25 @@ def read_ground_truth(path) -> Trajectory:
 
 
 def write_ground_truth(path, trajectory: Trajectory) -> None:
-    _write_grid_csv(path, _TRUTH_FIELDS[0], _TRUTH_FIELDS[1:],
-                    trajectory.times_s.tolist(),
-                    np.column_stack((trajectory.ranges_m,
-                                     trajectory.velocities_mps)))
+    gridcsv.write_grid_csv(path, _TRUTH_FIELDS[0], _TRUTH_FIELDS[1:],
+                           trajectory.times_s.tolist(),
+                           np.column_stack((trajectory.ranges_m,
+                                            trajectory.velocities_mps)
+                                           ).tolist())
 
 
-def _write_grid_csv(path, corner: str, column_labels: Sequence[float],
-                    row_labels: Sequence[float], values: np.ndarray) -> None:
-    """Labelled grid as CSV, one CRLF-ended row per row label. ``str`` of a
-    Python float is its ``repr``, so every number parses back exactly."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(str, (corner, *column_labels))) + "\r\n")
-        for label, row in zip(row_labels, values.tolist()):
-            fh.write(",".join(map(str, (label, *row))) + "\r\n")
+def map_csv_grid(rdm: RangeDopplerMap) -> tuple:
+    """A map CSV's corner label, range labels, velocity labels and rows of
+    magnitudes, as ``gridcsv`` writes or sends them."""
+    return ("velocity_mps",
+            (np.arange(rdm.n_range) * rdm.range_scale_m).tolist(),
+            (rdm.doppler_bins() * rdm.velocity_scale_mps).tolist(),
+            rdm.values.tolist())
 
 
 def write_map_csv(path, rdm: RangeDopplerMap) -> None:
     """Magnitude map as CSV: range header row, velocity header column."""
-    _write_grid_csv(path, "velocity_mps",
-                    (np.arange(rdm.n_range) * rdm.range_scale_m).tolist(),
-                    (rdm.doppler_bins() * rdm.velocity_scale_mps).tolist(),
-                    rdm.values)
+    gridcsv.write_grid_csv(path, *map_csv_grid(rdm))
 
 
 def _to_pgm(values_db: np.ndarray) -> bytes:
@@ -265,10 +263,10 @@ def write_profile_pgm(path, profile: DopplerTimeProfile) -> None:
 
 def write_profile_csv(path, profile: DopplerTimeProfile) -> None:
     """Doppler-time profile as CSV: window-time header row, velocity column."""
-    _write_grid_csv(
+    gridcsv.write_grid_csv(
         path, "velocity_mps", profile.window_times_s.tolist(),
         (profile.doppler_bins() * profile.velocity_scale_mps).tolist(),
-        profile.values)
+        profile.values.tolist())
 
 
 def write_detections_jsonl(path, detections: Sequence[Detection]) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import capture_io, rdmap
+from . import capture_io, gridcsv, rdmap
 from .capture_io import CaptureFormatError
 from .scenarios import (PRESET_CONFIGS, PRESET_SCENARIOS, ScenarioError,
                         finite_float, load_scenario, simulate_scenario)
@@ -221,7 +221,8 @@ def cmd_process(args) -> int:
     # the pass over the windows reads its block, before anything is written.
     capture = capture_io.CaptureFile(args.capture)
     header = capture.header
-    rdmap.window_starts(header.n_frames, args.window, args.stride)
+    n_windows = len(rdmap.window_starts(header.n_frames, args.window,
+                                        args.stride))
     if args.max_lag is not None and args.max_lag >= header.n_subcarriers:
         raise ValueError(f"--max-lag {args.max_lag} must be below the "
                          f"capture's {header.n_subcarriers} subcarriers")
@@ -259,11 +260,7 @@ def cmd_process(args) -> int:
             print(json.dumps(det.to_json_dict()))
 
     if args.emit_maps:
-        os.makedirs(args.emit_maps, exist_ok=True)
-        for index, rdm in enumerate(maps()):
-            base = os.path.join(args.emit_maps, f"map_{index:05d}")
-            capture_io.write_map_csv(base + ".csv", rdm)
-            capture_io.write_map_pgm(base + ".pgm", rdm)
+        _write_maps(args.emit_maps, maps(), n_windows)
     if args.emit_spectrogram:
         profile = rdmap.doppler_time_profile(maps())
         if args.emit_spectrogram.endswith(".pgm"):
@@ -271,6 +268,78 @@ def cmd_process(args) -> int:
         else:
             capture_io.write_profile_csv(args.emit_spectrogram, profile)
     return EXIT_OK
+
+
+def _write_maps(folder, maps, n_maps: int) -> None:
+    """Each map's CSV and PGM into ``folder``. A ``gridcsv`` helper process
+    writes the odd maps' CSVs, where it starts (see ``_start_map_writer``);
+    this process writes the others and every PGM. The helper is reaped
+    before this returns or raises. One that fails raises its message as an
+    ``OSError``. Where this process fails, the helper first writes the maps
+    it was sent, which are all earlier ones: every map before the failing
+    one is complete, and a helper's failure, at an earlier map, is raised
+    in its place."""
+    os.makedirs(folder, exist_ok=True)
+    helper = None
+    try:
+        helper = _start_map_writer(n_maps)
+        for index, rdm in enumerate(maps):
+            base = os.path.join(folder, f"map_{index:05d}")
+            if helper is None or index % 2 == 0:
+                capture_io.write_map_csv(base + ".csv", rdm)
+            else:
+                try:
+                    gridcsv.send_grid(helper.stdin, base + ".csv",
+                                      *capture_io.map_csv_grid(rdm))
+                except BrokenPipeError:
+                    _reap(helper)  # raises the message of its failure
+                    raise
+            capture_io.write_map_pgm(base + ".pgm", rdm)
+        if helper is not None:
+            _reap(helper)
+    except Exception:
+        if helper is not None and helper.returncode is None:
+            _reap(helper)
+        raise
+    finally:
+        if helper is not None and helper.returncode is None:
+            helper.terminate()  # interrupted: stopped, then reaped
+            helper.communicate()
+
+
+def _start_map_writer(n_maps: int):
+    """A ``gridcsv`` helper ``subprocess.Popen``, where there are two maps
+    or more and this process may run on more than one CPU; None otherwise,
+    or where it cannot start. One helper is what was measured: more wait
+    for timings on a host of more than two CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    if n_maps < 2 or cpus < 2:
+        return None
+    import subprocess  # not at the top: about 4 ms of every csisense start
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-I", "-S", gridcsv.__file__],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)
+    except OSError:
+        return None
+
+
+def _reap(helper) -> None:
+    """Close a helper's input, wait for it to write what it was sent, and
+    raise an ``OSError`` with its message if it failed."""
+    message = helper.communicate()[1].decode(errors="replace").strip()
+    code = helper.returncode
+    if code == 0:
+        return
+    if message:
+        raise OSError(message.splitlines()[-1])
+    if code < 0:
+        raise OSError(f"a map CSV writer was killed by signal {-code}")
+    raise OSError(f"a map CSV writer exited with status {code}")
 
 
 def cmd_eval(args) -> int:

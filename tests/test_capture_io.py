@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import struct
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Iterator, Tuple
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from csisense import gridcsv
 from csisense.capture_io import (_ENTRY_BYTES, _FINITE_BLOCK_SAMPLES,
                                  _HEADER, CaptureFile, CaptureFormatError,
                                  CaptureHeader, Trajectory, _pack_header,
                                  read_capture_array, read_detections_jsonl,
                                  read_ground_truth, read_header,
-                                 write_capture, write_detections_jsonl,
+                                 map_csv_grid, write_capture,
+                                 write_detections_jsonl,
                                  write_ground_truth, write_map_csv,
                                  write_map_pgm, write_profile_csv,
                                  write_sync_report_json)
@@ -660,6 +664,55 @@ def test_grid_writers_match_reference_bytes(tmp_path):
     reference_profile_csv(tmp_path / "ref_prof.csv", profile)
     assert (tmp_path / "prof.csv").read_bytes() \
         == (tmp_path / "ref_prof.csv").read_bytes()
+
+
+def grid_helper():
+    return subprocess.Popen([sys.executable, "-I", "-S", gridcsv.__file__],
+                            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_grid_helper_writes_the_same_bytes(tmp_path):
+    # A helper process, stdlib-only under -I -S, writes each grid it is
+    # sent with the one CSV writer, so its file is write_map_csv's to the
+    # byte, also for a map with no rows to label.
+    maps = [RangeDopplerMap(values=AWKWARD, range_scale_m=0.1,
+                            velocity_scale_mps=1.0 / 3.0),
+            map_for_export(),
+            RangeDopplerMap(values=np.empty((0, 3)), range_scale_m=0.1,
+                            velocity_scale_mps=0.05)]
+    helper = grid_helper()
+    for index, rdm in enumerate(maps):
+        gridcsv.send_grid(helper.stdin, tmp_path / f"sent_{index}é.csv",
+                          *map_csv_grid(rdm))
+        write_map_csv(tmp_path / f"own_{index}.csv", rdm)
+    assert helper.communicate(timeout=60) == (None, b"")
+    assert helper.returncode == 0
+    for index in range(len(maps)):
+        assert (tmp_path / f"sent_{index}é.csv").read_bytes() \
+            == (tmp_path / f"own_{index}.csv").read_bytes()
+
+
+def test_grid_helper_names_its_failure(tmp_path):
+    # A file the helper cannot write, or an input that ends partway through
+    # a grid, ends it with status 1 and one line of message.
+    taken = tmp_path / "taken.csv"
+    taken.mkdir()
+    with pytest.raises(OSError) as caught:
+        open(taken, "w")
+    helper = grid_helper()
+    gridcsv.send_grid(helper.stdin, taken, *map_csv_grid(map_for_export()))
+    assert helper.communicate(timeout=60)[1] == f"{caught.value}\n".encode()
+    assert helper.returncode == 1
+    sent = io.BytesIO()
+    gridcsv.send_grid(sent, tmp_path / "cut.csv",
+                      *map_csv_grid(map_for_export()))
+    for cut in (3, 40, len(sent.getvalue()) - 1):
+        helper = grid_helper()
+        helper.stdin.write(sent.getvalue()[:cut])
+        assert helper.communicate(timeout=60)[1] \
+            == b"grid input ended partway through a grid\n"
+        assert helper.returncode == 1
+    assert not (tmp_path / "cut.csv").exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
+import csv
 import io
 import json
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -17,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csisense
-from csisense import cli, rdmap
-from csisense.capture_io import (CaptureFormatError, read_capture_array,
+from csisense import cli, gridcsv, rdmap
+from csisense.capture_io import (CaptureFile, CaptureFormatError,
+                                 read_capture_array,
                                  write_capture, write_sync_report_json)
 from csisense.cli import main
 from csisense.scenarios import parse_scenario
@@ -366,6 +369,177 @@ def test_process_emits_reports(workdir, tmp_path):
     assert doc["effective_lag_samples"] == pytest.approx(1.25, abs=1 / 16)
     lines = prof_csv.read_text().splitlines()
     assert len(lines) == 1 + 16
+
+
+def files_under(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def set_cpus(monkeypatch, count, affinity=True):
+    """Make this process look as if it may run on ``count`` CPUs, told by
+    ``os.sched_getaffinity`` or, where that is missing, ``os.cpu_count``."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def record_map_writer(monkeypatch):
+    """The helper, or None, of each --emit-maps pass from here on."""
+    started = []
+    start_map_writer = cli._start_map_writer
+    monkeypatch.setattr(cli, "_start_map_writer", lambda n: started.append(
+        start_map_writer(n)) or started[-1])
+    return started
+
+
+@pytest.mark.parametrize("window, stride", [(16, 8), (40, 8), (48, 8)])
+def test_process_maps_are_the_same_whatever_the_writer_count(
+        workdir, tmp_path, monkeypatch, window, stride):
+    # With two maps or more and more than one CPU, a helper process writes
+    # the odd maps' CSVs; one that cannot start leaves them to this
+    # process. Every tree, of 5, 2 or 1 maps, is the one-writer tree to the
+    # byte, and every map CSV parses back exactly to window_maps'
+    # magnitudes.
+    cap = workdir / "cap.bin"
+    header = read_capture_array(cap, 0, 0)[0]
+    cfg = make_config(n_subcarriers=header.n_subcarriers, n_frames=window,
+                      subcarrier_spacing_hz=header.subcarrier_spacing_hz,
+                      frame_interval_s=header.frame_interval_s,
+                      carrier_freq_hz=header.carrier_freq_hz)
+    want = [rdm.values for rdm in rdmap.window_maps(
+        CaptureFile(cap), cfg, window, stride)]
+    started = record_map_writer(monkeypatch)
+    popen = subprocess.Popen
+
+    def cannot_start(*args, **kwargs):
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        raise OSError("no process for this test")
+
+    trees = []
+    for cpus, affinity, fails in ((1, True, False), (2, True, False),
+                                  (64, True, False), (3, False, False),
+                                  (3, True, True)):
+        set_cpus(monkeypatch, cpus, affinity)
+        if fails:
+            monkeypatch.setattr(subprocess, "Popen", cannot_start)
+        out = tmp_path / f"{cpus}-{affinity}-{fails}"
+        out.mkdir()
+        assert main(["process", str(cap), "--window", str(window),
+                     "--stride", str(stride), "--out", str(out / "d.jsonl"),
+                     "--emit-maps", str(out / "maps")]) == 0
+        assert no_child_left()
+        assert (started[-1] is not None) \
+            == (cpus > 1 and len(want) > 1 and not fails)
+        trees.append(files_under(out))
+    assert all(tree == trees[0] for tree in trees[1:])
+    assert len(trees[0]) == 1 + 2 * len(want)
+    for index, magnitudes in enumerate(want):
+        text = trees[0][Path("maps", f"map_{index:05d}.csv")].decode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        back = np.array([[float(x) for x in row[1:]] for row in rows])
+        assert np.array_equal(back, magnitudes)
+
+
+def process_maps(workdir, out):
+    return main(["process", str(workdir / "cap.bin"), "--window", "16",
+                 "--stride", "8", "--out", str(out / "d.jsonl"),
+                 "--emit-maps", str(out / "maps")])
+
+
+@pytest.mark.parametrize("taken", [(1,), (3,), (0,), (2,), (4,), (1, 2)])
+def test_process_map_that_cannot_be_written_exits_2(workdir, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    taken):
+    # Of the 5 maps, the helper writes the odd CSVs and this process the
+    # even ones. Either way a CSV that cannot be written exits 2 with the
+    # message of the first, as one writer would, and every map before it
+    # is the one-writer map to the byte: where this process fails, the
+    # helper writes what it was sent before it is reaped.
+    set_cpus(monkeypatch, 1)
+    (tmp_path / "one").mkdir()
+    assert process_maps(workdir, tmp_path / "one") == 0
+    whole = files_under(tmp_path / "one" / "maps")
+    set_cpus(monkeypatch, 2)
+    started = record_map_writer(monkeypatch)
+    out = tmp_path / "two"
+    for index in taken:
+        (out / "maps" / f"map_{index:05d}.csv").mkdir(parents=True)
+    with pytest.raises(OSError) as caught:
+        open(out / "maps" / f"map_{taken[0]:05d}.csv", "w")
+    capsys.readouterr()
+    assert process_maps(workdir, out) == 2
+    assert capsys.readouterr() == ("", f"csisense: {caught.value}\n")
+    assert started[0].returncode == taken[0] % 2
+    assert no_child_left()
+    written = files_under(out / "maps")
+    for index in range(taken[0]):
+        for suffix in (".csv", ".pgm"):
+            name = Path(f"map_{index:05d}{suffix}")
+            assert written[name] == whole[name]
+
+
+@pytest.mark.parametrize("sends_before_kill", [0, 1, 2])
+def test_process_killed_map_writer_exits_2(workdir, tmp_path, monkeypatch,
+                                           capsys, sends_before_kill):
+    # The helper, sent the CSVs of maps 1 and 3, is killed before its
+    # first, before its second or after its last: exit 2 with one line,
+    # not a BrokenPipeError, and no helper left.
+    set_cpus(monkeypatch, 2)
+    started = record_map_writer(monkeypatch)
+    sent = []
+    send_grid = gridcsv.send_grid
+
+    def kill():
+        started[0].kill()
+        started[0].wait(timeout=60)
+
+    def send_then_kill(*args):
+        if len(sent) == sends_before_kill:
+            kill()
+        sent.append(args[1])
+        send_grid(*args)
+        if len(sent) == sends_before_kill == 2:
+            kill()
+
+    monkeypatch.setattr(gridcsv, "send_grid", send_then_kill)
+    capsys.readouterr()
+    assert process_maps(workdir, tmp_path) == 2
+    assert capsys.readouterr() == (
+        "", f"csisense: a map CSV writer was killed by signal "
+            f"{int(signal.SIGKILL)}\n")
+    assert len(sent) == min(sends_before_kill + 1, 2)
+    assert no_child_left()
+
+
+def test_process_interrupted_stops_the_map_writer(workdir, tmp_path,
+                                                  monkeypatch):
+    # An interrupt does not wait for the helper: it is terminated, then
+    # reaped, and the interrupt goes on.
+    set_cpus(monkeypatch, 2)
+    started = record_map_writer(monkeypatch)
+    write_map_pgm = cli.capture_io.write_map_pgm
+
+    def interrupt_at_map_2(path, rdm):
+        if path.endswith("map_00002.pgm"):
+            raise KeyboardInterrupt
+        write_map_pgm(path, rdm)
+
+    monkeypatch.setattr(cli.capture_io, "write_map_pgm", interrupt_at_map_2)
+    with pytest.raises(KeyboardInterrupt):
+        process_maps(workdir, tmp_path)
+    assert started[0].returncode == -signal.SIGTERM
+    assert no_child_left()
 
 
 def test_process_sync_report_spans_every_block(tmp_path):
