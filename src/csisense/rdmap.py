@@ -18,11 +18,15 @@ from .waveform import (SPEED_OF_LIGHT, WaveformConfig, db_to_linear,
 DEFAULT_THRESHOLD_DB = 12.0
 
 # Frames that window_maps synchronizes and range-transforms at a time, in
-# its buffer behind the carried rows: 0.5 MB of complex128 at 512
-# subcarriers. On a 10000-frame capture (2 cores, numpy 2.4) blocks of 32
-# frames ran about 5% slower, with twice the calls; blocks of 128 frames
-# hold more than a 156-frame capture's whole complex128 copy.
-_BLOCK_FRAMES = 64
+# its buffer behind the carried rows: 0.26 MB of complex128 at 512
+# subcarriers, read as 0.13 MB of complex64. Against blocks of 64 frames
+# (2 cores, numpy 2.4, medians of 30 in-process calls) process took 4%
+# longer on a 10000-frame capture (205 against 197 ms, with twice the
+# per-block calls) and 2% longer on a 1000-frame one at stride 1, for
+# 0.39 MB less held. simulate, which builds its capture in blocks of the
+# same size, took 385 against 374 ms on 10000 frames. Blocks of 128
+# frames hold more than a 156-frame capture's whole complex128 copy.
+_BLOCK_FRAMES = 32
 
 
 @dataclass
@@ -69,7 +73,7 @@ class RangeDopplerMap:
         return np.arange(self.n_doppler) - self.n_doppler // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One estimated return: when, where, how fast, how strong."""
 
@@ -106,11 +110,13 @@ class DopplerTimeProfile:
 @functools.lru_cache(maxsize=16)
 def _axis_window(kind: str, length: int) -> np.ndarray:
     """Read-only taper along one axis; cached because every map of a
-    sliding-window run has the same shape."""
+    sliding-window run has the same shape. It is complex128, the type that
+    numpy casts a real taper to before it multiplies complex rows, so the
+    products keep their bits and no multiply casts it again."""
     if kind == "rect":
-        taper = np.ones(length)
+        taper = np.ones(length, complex)
     elif kind == "hann":
-        taper = np.hanning(length)
+        taper = np.hanning(length).astype(complex)
     else:
         raise ValueError(f"unknown window function {kind!r}")
     taper.flags.writeable = False
@@ -132,16 +138,15 @@ def range_profiles(grid: np.ndarray, window_fn: str = "rect",
     n_sub = grid.shape[-1]
     out = np.empty(grid.shape, complex) if out is None else out
     np.multiply(grid, _axis_window(window_fn, n_sub), out=out)
-    # np.fft takes out= only from numpy 2.0, so the transform is copied in.
-    out[...] = np.fft.ifft(out, axis=-1)
+    np.fft.ifft(out, axis=-1, out=out)
     # The unnormalized sum: an on-bin unit exponential peaks at N.
     out *= n_sub
     return out
 
 
 def range_doppler(profiles: np.ndarray, cfg: WaveformConfig,
-                  window_fn: str = "rect",
-                  timestamp_s: float = 0.0) -> RangeDopplerMap:
+                  window_fn: str = "rect", timestamp_s: float = 0.0,
+                  out: Optional[np.ndarray] = None) -> RangeDopplerMap:
     """Map of one window of range profiles (``range_profiles`` of a
     synchronized CSI window, DC-removed before or after that transform).
 
@@ -150,12 +155,17 @@ def range_doppler(profiles: np.ndarray, cfg: WaveformConfig,
     center-shifted rows (``fftshift`` without its copy), so Doppler bin 0 is
     the middle row. Under rectangular windows an on-bin unit exponential
     peaks at magnitude M*N.
+
+    The tapered spectrum is worked out in ``out`` when given: complex128,
+    the profiles' shape, and possibly the profiles themselves, which are
+    then overwritten. The map's ``values`` are always a new array.
     """
     profiles = np.asarray(profiles)
     if profiles.ndim != 2 or profiles.shape[0] < 2 or profiles.shape[1] < 2:
         raise ValueError("need a 2-D grid of at least 2x2")
     taper = _axis_window(window_fn, profiles.shape[0])[:, None]
-    spectrum = np.fft.fft(profiles * taper, axis=0)
+    spectrum = np.multiply(profiles, taper, out=out)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
     # fftshift's rotation: the first (M + 1) // 2 rows move to the end.
     split = (len(spectrum) + 1) // 2
     mag = np.empty(spectrum.shape, dtype=spectrum.real.dtype)
@@ -265,11 +275,13 @@ def window_maps(capture, cfg: WaveformConfig,
     ``SyncReport.concatenate`` of them is the capture's report. Each frame's
     range profile is then taken once, and the profiles later windows need
     (at most ``window - 1`` frames) are carried into the next block, all in
-    place in one complex128 buffer of ``window - 1`` plus a block's rows. So
-    memory beyond the capture itself (nothing, for a ``CaptureFile``) is
-    that buffer and one block's read, flat in the capture length. Each
-    window slices its profiles, is DC-removed (mean removal commutes with
-    the range transform) and gets its Doppler transform.
+    place in one complex128 buffer of ``window - 1`` plus a block's rows.
+    Each window's profiles are DC-removed (mean removal commutes with the
+    range transform), tapered and Doppler-transformed in one scratch array
+    of ``window`` rows beside that buffer; only each map's ``values`` is
+    new. So memory beyond the capture itself (nothing, for a
+    ``CaptureFile``) is the buffer, the scratch and one block's read, flat
+    in the capture length.
     """
     if capture.ndim != 2:
         raise ValueError("capture must be a 2-D frame-by-subcarrier array")
@@ -281,6 +293,7 @@ def window_maps(capture, cfg: WaveformConfig,
     report = None
     # The carried profiles at the head, then each block's frames.
     buffer = np.empty((window - 1 + _BLOCK_FRAMES, capture.shape[1]), complex)
+    scratch = np.empty((window, capture.shape[1]), complex)
     carried = 0
     for lo in range(0, capture.shape[0], _BLOCK_FRAMES):
         hi = min(lo + _BLOCK_FRAMES, capture.shape[0])
@@ -302,10 +315,10 @@ def window_maps(capture, cfg: WaveformConfig,
         while start is not None and start + window <= hi:
             rows = buffer[start - first:start - first + window]
             if apply_sic:
-                rows = sic.remove_dc(rows)
+                rows = sic.remove_dc(rows, out=scratch)
             t = (start + half) * cfg.frame_interval_s
             yield range_doppler(rows, cfg, window_fn=window_fn,
-                                timestamp_s=t)
+                                timestamp_s=t, out=scratch)
             start = next(pending, None)
         if start is not None:  # a stride beyond the window may skip frames
             carried = max(hi - start, 0)

@@ -1,10 +1,13 @@
 """Self-interference and static-clutter suppression by zero-Doppler removal."""
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
-def remove_dc(grid: np.ndarray) -> np.ndarray:
+def remove_dc(grid: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Subtract each column's mean over frames.
 
     Tx/Rx coupling and static clutter are constant across frames, so they
@@ -20,20 +23,26 @@ def remove_dc(grid: np.ndarray) -> np.ndarray:
     either domain. A cell's magnitude is at least each of its parts, so
     the magnitudes are taken only when some real or imaginary part lies
     within that tolerance.
+
+    The result goes to ``out`` when given, as in numpy's ufuncs: an array
+    of the grid's shape and of the dtype a new result would have
+    (complex128 for a complex128 grid), possibly the grid itself.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.shape[0] < 2:
         raise ValueError("need a 2-D grid with at least 2 frames")
     mean = np.mean(grid, axis=0, keepdims=True)
-    out = grid - mean
+    out = np.subtract(grid, mean, out=out)
     # Cancelling a frame-invariant column leaves summation-order rounding
     # residue (no mean can be exact for every frame count); flush anything
     # that far below the largest removed mean to true zero so an all-static
     # window comes out silent instead of as numerical dust.
     tolerance = 32.0 * np.finfo(out.dtype).eps * np.max(np.abs(mean))
     # |z| >= max(|re|, |im|): with no part within the tolerance no cell
-    # is, and the costlier whole-grid magnitude is skipped.
+    # is, and the costlier whole-grid magnitude is skipped. A part is
+    # within it exactly when it lies in [-tolerance, tolerance], NaN in
+    # neither, so no magnitude array of the parts is made either.
     parts = out.ravel(order="K").view(out.real.dtype)
-    if (np.abs(parts) <= tolerance).any():
+    if ((parts >= -tolerance) & (parts <= tolerance)).any():
         out[np.abs(out) <= tolerance] = 0.0
     return out

@@ -18,9 +18,9 @@ import numpy as np
 # A 1/1024-sample delay step is under 1 mm of range at 160 MHz.
 MAX_UPSAMPLE_FACTOR = 1024
 
-# Frames per block when frame_phases measures magnitudes: 1 MB of float64
+# Frames per block when frame_phases measures magnitudes: 32 KB of float64
 # at 512 subcarriers, against 41 MB for a 10000-frame capture at once.
-_SCALE_BLOCK_FRAMES = 256
+_SCALE_BLOCK_FRAMES = 8
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,16 @@ def compensate_delay(grid: np.ndarray, lag_samples: float,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Undo a sample-delay offset: counter-rotate each subcarrier's phase so
     the zero-delay return lands on range bin 0; into ``out``, when given,
-    as in numpy's ufuncs."""
-    return np.multiply(grid, _delay_ramp(grid.shape[-1], lag_samples), out=out)
+    as in numpy's ufuncs.
+
+    A given ``out`` is complex128: the grid is copied into it (a complex64
+    grid upcast exactly) and rotated there, so no cast of the grid is
+    buffered beside it."""
+    ramp = _delay_ramp(grid.shape[-1], lag_samples)
+    if out is None:
+        return np.multiply(grid, ramp)
+    np.copyto(out, grid)
+    return np.multiply(out, ramp, out=out)
 
 
 def _wrap(angle: float) -> float:
@@ -312,8 +320,8 @@ def synchronize(grid: np.ndarray, params: Optional[SyncParams] = None, *,
         fine = fine_delay(received, coarse, p.upsample_factor)
     else:
         coarse, fine = prior.coarse_lag_samples, prior.fine_lag_samples
-    # compensate_delay's product upcasts a complex64 grid exactly, and phase
-    # alignment rotates it in place.
+    # compensate_delay upcasts a complex64 grid exactly, into out when it is
+    # given, and phase alignment rotates the result in place.
     grid = compensate_delay(grid, coarse + fine, out=out)
     grid, report = align_phases(grid, p, prior=prior, out=grid)
     report.coarse_lag_samples = int(coarse)

@@ -863,14 +863,14 @@ def coupling_capture(path, frames, n_sub=256):
 
 
 # process reads its capture a block of frames at a time, so beyond its
-# stream buffer (window - 1 + _BLOCK_FRAMES complex128 rows, 0.39 MB at the
+# stream buffer (window - 1 + _BLOCK_FRAMES complex128 rows, 0.26 MB at the
 # default window of 32 and 256 subcarriers) it holds one block's working
-# set, whatever the capture length: on numpy 2.4, 0.78 MB with sync in a
-# process's first call (which also imports modules lazily), 0.66 MB after
-# it, and 0.51 MB without sync. The bound leaves 0.17 MB above the
+# set, whatever the capture length: on numpy 2.4, 0.59 MB with sync in a
+# process's first call (which also imports modules lazily), 0.45 MB after
+# it, and 0.38 MB without sync. The bound leaves 0.16 MB above the
 # largest; synchronizing each block into a copy of its own, beside the
-# buffer, reads 1.18 MB or more. The next test bounds the whole peak.
-PROCESS_WORKING_SET_BYTES = 950_000
+# buffer, reads 0.84 MB or more. The next test bounds the whole peak.
+PROCESS_WORKING_SET_BYTES = 750_000
 
 
 @pytest.mark.parametrize("frames", [2048, 8192])
@@ -890,11 +890,11 @@ def test_process_holds_the_capture_and_one_block(tmp_path, frames):
 
 
 # The whole peak of process is its stream buffer and one block's working
-# set: at 256 subcarriers, on numpy 2.4, 1.17 MB with sync in a process's
-# first call, 1.04 MB after it, and 0.90 MB without sync, against captures
-# of 4 and 16 MB. The bound leaves 0.18 MB above the largest; a sync copy
-# of each block beside the buffer reads 1.57 MB or more.
-PROCESS_PEAK_BYTES = 1_350_000
+# set: at 256 subcarriers, on numpy 2.4, 0.85 MB with sync in a process's
+# first call, 0.71 MB after it, and 0.64 MB without sync, against captures
+# of 4 and 16 MB. The bound leaves 0.15 MB above the largest; a sync copy
+# of each block beside the buffer reads 1.09 MB or more.
+PROCESS_PEAK_BYTES = 1_000_000
 
 
 @pytest.mark.parametrize("frames", [2048, 8192])
@@ -914,7 +914,7 @@ def test_process_peak_is_flat_in_capture_length(tmp_path, frames):
 
 # Minor page faults of one in-process process call on a 2048-frame,
 # 512-subcarrier capture, after a first call, in a fresh interpreter:
-# 358 to 391 on glibc 2.36, numpy 2.4, with or without sync, at every
+# 101 to 200 on glibc 2.36, numpy 2.4, with or without sync, at every
 # length of the capture's path. window_maps writes every block into one
 # buffer, so no block's arrays are freed for the next block to fault back
 # in. When each block's arrays were allocated anew and freed, glibc's

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,8 +215,35 @@ def dc_grids(draw):
 @settings(max_examples=400, deadline=None)
 @given(grid=dc_grids())
 def test_remove_dc_matches_whole_grid_flush_bit_for_bit(grid):
+    # The new array, out= a separate array and out= a copy of the grid in
+    # the result's dtype, which is then overwritten.
     with np.errstate(all="ignore"):
         expected = reference_remove_dc(grid)
         got = remove_dc(grid)
-    assert got.dtype == expected.dtype
-    assert got.tobytes() == expected.tobytes()
+        apart = np.empty(grid.shape, expected.dtype)
+        assert remove_dc(grid, out=apart) is apart
+        own = grid.astype(expected.dtype)
+        assert remove_dc(own, out=own) is own
+    for result in (got, apart, own):
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+
+
+# Peak of remove_dc(grid, out=grid) on a 32 x 512 complex128 grid, after a
+# first call, on numpy 2.4: 0.14 MB, mostly the buffer of numpy's iterator
+# for the broadcast mean, which holds 8192 elements. The bound stays below
+# the 0.26 MB that each of a new output and the old |parts| took.
+REMOVE_DC_OUT_PEAK_BYTES = 180_000
+
+
+def test_remove_dc_into_out_makes_no_grid_sized_array():
+    rng = np.random.default_rng(12)
+    grid = rng.standard_normal((32, 1024)).view(complex)
+    for _ in range(2):  # the first call may set up numpy's state
+        tracemalloc.start()
+        try:
+            remove_dc(grid, out=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < REMOVE_DC_OUT_PEAK_BYTES < grid.nbytes
